@@ -102,23 +102,24 @@ def relative_density(v: MethodRef, state: CoverState, graph: ApiGraph) -> float:
 
 
 def relative_compactness(v: MethodRef, graph: ApiGraph,
-                         config: ClusterConfig | None = None) -> float:
+                         config: ClusterConfig | None = None,
+                         qualities: dict[MethodRef, float] | None = None) -> float:
     """Share of v's satellites whose own stars compare worse (or better,
-    under the "caption" switch) than v's star; 0 for isolated vertices."""
+    under the "caption" switch) than v's star; 0 for isolated vertices.
+    ``qualities`` maps vertices to their star quality; the ones needed are
+    computed when it is omitted."""
     config = config or ClusterConfig()
     satellites = graph.neighbors(v)
     if not satellites:
         return 0.0
-    own = ws_quality(star(graph, v), graph)
+    if qualities is None:
+        qualities = {s: ws_quality(star(graph, s), graph) for s in (v, *satellites)}
+    own = qualities[v]
     if config.rc_comparison == "prose":
-        count = sum(1 for s in satellites if ws_quality(star(graph, s), graph) < own)
+        count = sum(1 for s in satellites if qualities[s] < own)
     else:
-        count = sum(1 for s in satellites if ws_quality(star(graph, s), graph) > own)
+        count = sum(1 for s in satellites if qualities[s] > own)
     return count / len(satellites)
-
-
-def _star_qualities(graph: ApiGraph) -> dict[MethodRef, float]:
-    return {v: ws_quality(star(graph, v), graph) for v in graph.vertices}
 
 
 def initial_clusters(graph: ApiGraph,
@@ -131,23 +132,13 @@ def initial_clusters(graph: ApiGraph,
     rank last and become their own centers.
     """
     config = config or ClusterConfig()
-    qualities = _star_qualities(graph)
-    prose = config.rc_comparison == "prose"
-    rq: dict[MethodRef, float] = {}
-    for v in graph.vertices:
-        satellites = graph.neighbors(v)
-        if not satellites:
-            rq[v] = 0.0
-            continue
-        own = qualities[v]
-        if prose:
-            count = sum(1 for s in satellites if qualities[s] < own)
-        else:
-            count = sum(1 for s in satellites if qualities[s] > own)
-        rq[v] = (1.0 + count / len(satellites)) / 2.0
+    state = CoverState([], set())
+    qualities = {v: ws_quality(star(graph, v), graph) for v in graph.vertices}
+    rq = {v: (relative_density(v, state, graph)
+              + relative_compactness(v, graph, config, qualities)) / 2.0
+          for v in graph.vertices}
     order = sorted(graph.vertices, key=lambda v: (-rq[v], -graph.degree(v), v))
 
-    state = CoverState([], set())
     for v in order:
         satellites = graph.neighbors(v)
         if v not in state.covered or any(s not in state.covered for s in satellites):

@@ -131,9 +131,14 @@ def write_edge_list(graph: ApiGraph, path: str | Path) -> None:
 
 
 def read_edge_list(path: str | Path) -> ApiGraph:
-    """Read the edge-list format written by :func:`write_edge_list`."""
+    """Read the edge-list format written by :func:`write_edge_list`.
+
+    An edge may be listed more than once, in either direction, but only
+    with the same weight; a conflicting weight raises ``ValueError``.
+    """
     vertices: set[MethodRef] = set()
     edges: dict[tuple[MethodRef, MethodRef], float] = {}
+    first_line: dict[tuple[MethodRef, MethodRef], int] = {}
     for line_no, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(),
                                   start=1):
         line = raw.strip()
@@ -149,7 +154,12 @@ def read_edge_list(path: str | Path) -> ApiGraph:
         v = MethodRef.from_qualified(parts[1].strip())
         w = float(parts[2])
         vertices.update((u, v))
-        edges[(u, v)] = w
+        key = (u, v) if u < v else (v, u)
+        if key not in edges:
+            edges[key], first_line[key] = w, line_no
+        elif edges[key] != w:
+            raise ValueError(f"{path}:{line_no}: weight {w!r} for {u} -- {v} "
+                             f"conflicts with {edges[key]!r} on line {first_line[key]}")
     return ApiGraph(vertices, edges)
 
 

@@ -13,15 +13,15 @@ Set-level variants average the pairwise values over all unordered pairs,
 and ``quality`` blends the three set-level attributes with configurable
 lambda weights. All results lie in [0, 1].
 
-``CorpusMetrics`` indexes a corpus once and is the implementation behind
-the module-level convenience functions; prefer it when evaluating many
-pairs over the same corpus.
+``CorpusMetrics`` scores every co-occurring pair once, at construction, and
+is the implementation behind the module-level convenience functions; prefer
+it when evaluating many pairs over the same corpus.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 from .rng import SplitMix64, derive_seed
@@ -196,79 +196,79 @@ class _TreeIndex:
 
 
 class CorpusMetrics:
-    """Affinity evaluator over one pruned corpus; trees are indexed once."""
+    """Affinity evaluator over one pruned corpus.
+
+    Construction is the only walk over the trees: apps in corpus order,
+    trees in order, each tree adding its co-occurring pairs to a per-pair
+    row. Rows are reduced in the order and form a per-pair scan would use,
+    less the exact 0.0 terms of trees without the pair, so the accessors
+    are table lookups; a pair that never co-occurs scores 0.0 on all four.
+    """
+
+    _ABSENT = PairAffinity(0.0, 0.0, 0.0, 0.0)
 
     def __init__(self, corpus: TraceCorpus, config: MetricConfig | None = None) -> None:
         if corpus.is_empty():
             raise ValueError("cannot evaluate metrics over an empty corpus")
         self.config = config or MetricConfig()
-        self._by_app: dict[str, list[_TreeIndex]] = {
-            app_id: [_TreeIndex(t) for t in corpus.trees[app_id]]
-            for app_id in corpus.trees
-        }
-        self._app_count = len(self._by_app)
-
-    def _indexes(self):
-        for indexes in self._by_app.values():
-            yield from indexes
+        cap = self.config.distance_pair_cap
+        apps = len(corpus.trees)
+        self._methods: set[MethodRef] = set()
+        # Per pair: [local total, distance total, apps containing it, trees
+        # containing it, their nonzero weight shares in corpus order].
+        rows: defaultdict = defaultdict(lambda: [0.0, 0.0, 0, 0, []])
+        for trees in corpus.trees.values():
+            # Per pair: distance scores in this app's trees.
+            in_app: dict[tuple[MethodRef, MethodRef], list[float]] = {}
+            for tree in trees:
+                ix = _TreeIndex(tree)
+                self._methods.update(ix.methods)
+                for c, v in itertools.combinations(sorted(ix.methods), 2):
+                    in_app.setdefault((c, v), []).append(ix.distance_score(c, v, cap))
+                    share = ix.weight_share(c, v)
+                    if share:
+                        rows[c, v][4].append(share)
+            for pair, scores in in_app.items():
+                row = rows[pair]
+                row[0] += len(scores) / len(trees)
+                row[1] += sum(scores) / len(trees)
+                row[2] += 1
+                row[3] += len(scores)
+        literal = self.config.weight_formula == "literal"
+        self._table: dict[tuple[MethodRef, MethodRef], PairAffinity] = {
+            pair: PairAffinity(local / apps, containing / apps, dist / apps,
+                               sum(shares) / (apps if literal else count))
+            for pair, (local, dist, containing, count, shares) in rows.items()}
 
     def methods(self) -> list[MethodRef]:
         """All distinct methods occurring anywhere, in stable sorted order."""
-        found: set[MethodRef] = set()
-        for index in self._indexes():
-            found.update(index.methods)
-        return sorted(found)
+        return sorted(self._methods)
 
     def co_occurring_pairs(self) -> list[tuple[MethodRef, MethodRef]]:
         """Sorted distinct pairs that share at least one tree."""
-        pairs: set[tuple[MethodRef, MethodRef]] = set()
-        for index in self._indexes():
-            pairs.update(itertools.combinations(sorted(index.methods), 2))
-        return sorted(pairs)
+        return sorted(self._table)
 
     # -- pairwise attributes -------------------------------------------------
 
+    def pair_affinity(self, c: MethodRef, v: MethodRef) -> PairAffinity:
+        _check_pair(c, v)
+        return self._table.get((c, v) if c < v else (v, c), self._ABSENT)
+
     def local_freq(self, c: MethodRef, v: MethodRef) -> float:
         """Per-app share of trees containing both methods, averaged over apps."""
-        _check_pair(c, v)
-        total = 0.0
-        for indexes in self._by_app.values():
-            total += sum(ix.co_occur(c, v) for ix in indexes) / len(indexes)
-        return total / self._app_count
+        return self.pair_affinity(c, v).lfreq
 
     def global_freq(self, c: MethodRef, v: MethodRef) -> float:
         """Share of applications with at least one tree containing both."""
-        _check_pair(c, v)
-        containing = sum(
-            1 for indexes in self._by_app.values()
-            if any(ix.co_occur(c, v) for ix in indexes))
-        return containing / self._app_count
+        return self.pair_affinity(c, v).gfreq
 
     def distance(self, c: MethodRef, v: MethodRef) -> float:
         """Per-tree distance scores averaged per app, then over apps."""
-        _check_pair(c, v)
-        cap = self.config.distance_pair_cap
-        total = 0.0
-        for indexes in self._by_app.values():
-            total += sum(ix.distance_score(c, v, cap) for ix in indexes) / len(indexes)
-        return total / self._app_count
+        return self.pair_affinity(c, v).distance
 
     def weight(self, c: MethodRef, v: MethodRef) -> float:
         """Direct-call share for the pair, aggregated per the configured formula."""
-        _check_pair(c, v)
-        if self.config.weight_formula == "literal":
-            total = sum(ix.weight_share(c, v)
-                        for ix in self._indexes())
-            return total / self._app_count
-        shares = [ix.weight_share(c, v)
-                  for ix in self._indexes() if ix.co_occur(c, v)]
-        if not shares:
-            return 0.0
-        return sum(shares) / len(shares)
-
-    def pair_affinity(self, c: MethodRef, v: MethodRef) -> PairAffinity:
-        return PairAffinity(self.local_freq(c, v), self.global_freq(c, v),
-                            self.distance(c, v), self.weight(c, v))
+        return self.pair_affinity(c, v).weight
 
     # -- set-level attributes ------------------------------------------------
 

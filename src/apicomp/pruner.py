@@ -1,30 +1,15 @@
 """Remove application frames from call trees.
 
-Pruning walks the tree level by level: every APPLICATION child is removed
-and its children are spliced into the parent's child list at the removed
-child's position, preserving invocation order. Passes repeat until a full
-sweep removes nothing. When the root itself is an application frame, a
-synthetic connector root adopts the surviving top-level API subtrees so a
-scenario stays a single tree.
+Pruning copies every API node under its nearest kept ancestor in one
+pre-order pass, so the children of an APPLICATION node take its place in
+its parent's child list, preserving invocation order. When the root itself
+is an application frame, a synthetic connector root adopts the surviving
+top-level API subtrees so a scenario stays a single tree.
 """
 
 from __future__ import annotations
 
-from collections import deque
-
 from .trace_model import CallNode, CallTree, Origin, PrunedTree, TraceCorpus
-
-
-def _copy_subtree(node: CallNode) -> CallNode:
-    copy = CallNode(node.method, node.origin, [], node.pinned)
-    stack = [(node, copy)]
-    while stack:
-        old, new = stack.pop()
-        for child in old.children:
-            child_copy = CallNode(child.method, child.origin, [], child.pinned)
-            new.children.append(child_copy)
-            stack.append((child, child_copy))
-    return copy
 
 
 def prune(tree: CallTree) -> PrunedTree:
@@ -34,32 +19,21 @@ def prune(tree: CallTree) -> PrunedTree:
     subsequence of API ancestors it had before. A tree with no API nodes
     yields an empty pruned tree (connector root, zero children).
     """
-    root = _copy_subtree(tree.root)
-    # A connector wrapper lets the sweep below treat an application root
-    # like any other removable child; it is unwrapped if the root survives.
-    root_is_api = not root.is_connector and root.origin is Origin.API
-    work = root if root.is_connector else CallNode(None, Origin.API, [root])
-
-    changed = True
-    while changed:
-        changed = False
-        queue = deque([work])
-        while queue:
-            node = queue.popleft()
-            spliced: list[CallNode] = []
-            for child in node.children:
-                if child.origin is Origin.API:
-                    spliced.append(child)
-                else:
-                    spliced.extend(child.children)
-                    changed = True
-            node.children = spliced
-            queue.extend(spliced)
-
-    if root_is_api:
-        new_root = work.children[0]
+    root = tree.root
+    if root.is_connector or root.origin is Origin.API:
+        new_root = CallNode(root.method, root.origin, [], root.pinned)
     else:
-        new_root = work
+        new_root = CallNode(None, Origin.API, [])
+    # (original node, copy of its nearest kept ancestor); an explicit stack
+    # because traces can be far deeper than the recursion limit.
+    stack = [(child, new_root) for child in reversed(root.children)]
+    while stack:
+        node, parent = stack.pop()
+        if node.origin is Origin.API:
+            copy = CallNode(node.method, node.origin, [], node.pinned)
+            parent.children.append(copy)
+            parent = copy
+        stack.extend((child, parent) for child in reversed(node.children))
     return PrunedTree(tree.app_id, tree.scenario_id, new_root)
 
 

@@ -382,8 +382,12 @@ def load_corpus(corpus_dir: str | Path, classifier: ApiClassifier | None = None,
 
     def parse_one(job: tuple[str, Path]) -> CallTree:
         app_id, trace_path = job
-        tree = parse_trace_file(trace_path.read_text(encoding="utf-8"),
-                                app_id, trace_path.stem, path=str(trace_path))
+        try:
+            text = trace_path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise TraceParseError(f"not UTF-8 text ({exc.reason} at byte {exc.start})",
+                                  path=str(trace_path)) from None
+        tree = parse_trace_file(text, app_id, trace_path.stem, path=str(trace_path))
         if classifier is not None:
             tree = classify(tree, classifier)
         return tree

@@ -53,6 +53,14 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "bad.trace" in err and ":2" in err
 
+    def test_non_utf8_trace_is_parse_error(self, tmp_path, capsys):
+        corpus = write_corpus_dir(tmp_path, {"a": {"ok": "0\tlib.A.a\n"}})
+        (corpus / "a" / "latin1.trace").write_bytes(b"0\tlib.A.caf\xe9\n")
+        code = run_cli("run", "--corpus", str(corpus),
+                       "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert "latin1.trace" in capsys.readouterr().err
+
     def test_empty_corpus_is_distinct(self, tmp_path):
         empty = tmp_path / "corpus"
         empty.mkdir()

@@ -132,6 +132,20 @@ class TestGraphFiles:
         with pytest.raises(ValueError):
             read_edge_list(path)
 
+    def test_read_rejects_conflicting_duplicate_edge(self, tmp_path):
+        path = tmp_path / "graph.tsv"
+        path.write_text("a.A.a\tb.B.b\t0.5\nc.C.c\n# note\nb.B.b\ta.A.a\t0.9\n",
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match=r":4: .* on line 1"):
+            read_edge_list(path)
+
+    def test_read_accepts_repeated_identical_edge(self, tmp_path):
+        path = tmp_path / "graph.tsv"
+        path.write_text("a.A.a\tb.B.b\t0.5\nb.B.b\ta.A.a\t0.5\n", encoding="utf-8")
+        graph = read_edge_list(path)
+        assert graph.edge_count() == 1
+        assert graph.edge_weight(m("a.A.a"), m("b.B.b")) == 0.5
+
 
 def test_graph_config_validates_threshold():
     with pytest.raises(ValueError):

@@ -83,6 +83,17 @@ def test_splice_preserves_sibling_order():
     assert names == ["left", "m1", "m2", "right"]
 
 
+def test_deep_alternating_chain_prunes_without_recursion():
+    # 20,000 frames, far past the recursion limit; every app frame goes.
+    node = CallNode(m("lib.A.leaf"), Origin.API)
+    for i in range(10_000):
+        node = CallNode(m("app.M.f"), Origin.APPLICATION, [node])
+        node = CallNode(m(f"lib.A.m{i % 7}"), Origin.API, [node])
+    pruned = prune(CallTree("a", "s", node))
+    assert pruned.node_count() == 10_001
+    assert pruned.depth() == 10_000
+
+
 @given(call_trees())
 def test_prune_matches_recursive_filter_oracle(tree):
     classified = classify(tree, ApiClassifier(("lib.",)))
