@@ -70,11 +70,22 @@ def _add_metric_args(p: argparse.ArgumentParser) -> None:
                    default="example",
                    help="pair weight aggregation (default example)")
     p.add_argument("--distance-pair-cap", type=int, default=10_000,
-                   help="occurrence pairs sampled per pair and tree (default 10000)")
+                   help="occurrence pairs per pair and tree measured exactly; "
+                        "above it, this many are sampled (default 10000)")
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
 
 
 def _add_jobs_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_positive_int, default=1,
                    help="parallel workers for parse/prune/edge stages (default 1)")
 
 

@@ -59,9 +59,10 @@ class MetricConfig:
         where the pair co-occurs; "literal" sums it over all trees and
         divides by the number of applications, which can exceed 1.
     distance_pair_cap:
-        Upper bound on occurrence pairs enumerated per (pair, tree) when
-        averaging path lengths; beyond it a deterministic uniform subsample
-        of exactly this size is used.
+        Up to this many occurrence pairs per (pair, tree), the mean path
+        length is exact, summed from subtree counts; beyond it, a
+        deterministic uniform subsample of exactly this many pairs is
+        measured, each through its lowest common ancestor.
     """
 
     weight_formula: str = "example"
@@ -97,15 +98,25 @@ def _check_set(methods) -> list[MethodRef]:
 
 
 class _TreeIndex:
-    """Flat arrays over one tree: parents, depths and method occurrences.
+    """Flat arrays over one tree, numbered in pre-order: parents, depths and
+    method occurrences.
 
     The connector root, when present, is indexed like any node so paths
     between subtrees step through it, but it is never an occurrence and
     its edges do not count as invocations.
+
+    Path lengths are never walked pair by pair. Up to the cap, the exact
+    total over all occurrence pairs comes from subtree counts (see
+    ``_distance_sums``). Above it, each sampled pair is measured as
+    ``depth[i] + depth[j] - 2 * depth[lca]``, the LCA found on a heavy-path
+    decomposition built on first use. The sums take O(nodes) per method and
+    the decomposition O(nodes) per tree; both give the integer total a walk
+    over the same pairs would, so the mean is the same float.
     """
 
     __slots__ = ("app_id", "scenario_id", "methods", "occurrences", "parent",
-                 "depth", "tree_depth", "edge_total", "direct_pairs")
+                 "depth", "tree_depth", "edge_total", "direct_pairs",
+                 "_sums_method", "_sums", "_head")
 
     def __init__(self, tree: CallTree) -> None:
         self.app_id = tree.app_id
@@ -115,6 +126,9 @@ class _TreeIndex:
         self.occurrences: dict[MethodRef, list[int]] = {}
         self.direct_pairs: Counter = Counter()
         self.edge_total = 0
+        self._sums_method: MethodRef | None = None
+        self._sums: list[int] = []
+        self._head: list[int] | None = None
 
         labels: list[MethodRef | None] = []
         stack: list[tuple[CallNode, int, int]] = [(tree.root, -1, 0)]
@@ -140,25 +154,63 @@ class _TreeIndex:
     def co_occur(self, c: MethodRef, v: MethodRef) -> int:
         return int(c in self.methods and v in self.methods)
 
-    def _path_length(self, i: int, j: int) -> int:
-        steps = 0
-        while self.depth[i] > self.depth[j]:
-            i = self.parent[i]
-            steps += 1
-        while self.depth[j] > self.depth[i]:
-            j = self.parent[j]
-            steps += 1
-        while i != j:
-            i = self.parent[i]
-            j = self.parent[j]
-            steps += 2
-        return steps
+    def _distance_sums(self, c: MethodRef) -> list[int]:
+        """``S[y]``: the summed path length from every occurrence of c to y.
+
+        With ``below[y]`` the occurrences of c in y's subtree, stepping
+        from a parent to y moves ``below[y]`` occurrences one edge nearer
+        and the other ``|occ_c| - below[y]`` one edge farther. Only the
+        last method's sums are kept: pairs scored in ``combinations``
+        order share their first method, so memory stays one array.
+        """
+        if self._sums_method != c:
+            parent = self.parent
+            occ = self.occurrences[c]
+            below = [0] * len(parent)
+            for i in occ:
+                below[i] = 1
+            for y in range(len(parent) - 1, 0, -1):
+                if below[y]:
+                    below[parent[y]] += below[y]
+            sums = [sum(self.depth[i] for i in occ)] * len(parent)
+            for y in range(1, len(parent)):
+                sums[y] = sums[parent[y]] + len(occ) - 2 * below[y]
+            self._sums_method, self._sums = c, sums
+        return self._sums
+
+    def _lca(self, i: int, j: int) -> int:
+        """Lowest common ancestor by heavy-path decomposition: climb whole
+        chains, O(log nodes) of them, until i and j share one."""
+        parent, depth = self.parent, self.depth
+        if self._head is None:
+            size = [1] * len(parent)
+            for y in range(len(parent) - 1, 0, -1):
+                size[parent[y]] += size[y]
+            heavy = [0] * len(parent)  # 0: no child, as the root is no child
+            for y in range(1, len(parent)):
+                p = parent[y]
+                if not heavy[p] or size[y] > size[heavy[p]]:
+                    heavy[p] = y
+            head = list(range(len(parent)))
+            for y in range(1, len(parent)):
+                if heavy[parent[y]] == y:
+                    head[y] = head[parent[y]]
+            self._head = head
+        head = self._head
+        while head[i] != head[j]:
+            if depth[head[i]] > depth[head[j]]:
+                i = parent[head[i]]
+            else:
+                j = parent[head[j]]
+        return i if depth[i] < depth[j] else j
 
     def average_path_length(self, c: MethodRef, v: MethodRef, cap: int) -> float:
         """Mean path length (in edges) over occurrence pairs of c and v.
 
-        Falls back to twice the tree depth when either method is absent,
-        which drives the distance score to zero.
+        Exact up to ``cap`` occurrence pairs; above it, the mean over a
+        deterministic uniform subsample of exactly ``cap`` pairs. Falls
+        back to twice the tree depth when either method is absent, which
+        drives the distance score to zero.
         """
         if not self.co_occur(c, v):
             return 2.0 * self.tree_depth
@@ -168,15 +220,16 @@ class _TreeIndex:
         occ_v = self.occurrences[v]
         total_pairs = len(occ_c) * len(occ_v)
         if total_pairs <= cap:
-            pairs = ((i, j) for i in occ_c for j in occ_v)
-            count = total_pairs
-        else:
-            rng = SplitMix64(derive_seed(self.app_id, self.scenario_id,
-                                         c.qualified, v.qualified))
-            flat = rng.sample_indices(total_pairs, cap)
-            pairs = ((occ_c[k // len(occ_v)], occ_v[k % len(occ_v)]) for k in flat)
-            count = cap
-        return sum(self._path_length(i, j) for i, j in pairs) / count
+            sums = self._distance_sums(c)
+            return sum(sums[j] for j in occ_v) / total_pairs
+        rng = SplitMix64(derive_seed(self.app_id, self.scenario_id,
+                                     c.qualified, v.qualified))
+        depth = self.depth
+        total = 0
+        for k in rng.sample_indices(total_pairs, cap):
+            i, j = occ_c[k // len(occ_v)], occ_v[k % len(occ_v)]
+            total += depth[i] + depth[j] - 2 * depth[self._lca(i, j)]
+        return total / cap
 
     def distance_score(self, c: MethodRef, v: MethodRef, cap: int) -> float:
         """1 - avg path / (2 * depth), clamped to [0, 1]; 0 when absent."""

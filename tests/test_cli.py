@@ -61,6 +61,15 @@ class TestExitCodes:
         assert code == 2
         assert "latin1.trace" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_is_usage_error(self, fig_corpus, tmp_path, capsys, jobs):
+        corpus, _ = fig_corpus
+        out = tmp_path / "out"
+        assert run_cli("run", "--corpus", str(corpus), "--jobs", jobs,
+                       "--out", str(out)) == 1
+        assert "--jobs" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_empty_corpus_is_distinct(self, tmp_path):
         empty = tmp_path / "corpus"
         empty.mkdir()

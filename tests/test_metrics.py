@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bruteforce as bf
-from conftest import build_corpus, build_tree, m, random_corpus
+from conftest import build_corpus, build_tree, m, random_corpus, random_tree_spec
 
 from apicomp.metrics import (CorpusMetrics, MetricConfig, QualityWeights,
                              average_path_length, call_dist, call_freq,
@@ -13,7 +14,9 @@ from apicomp.metrics import (CorpusMetrics, MetricConfig, QualityWeights,
                              local_freq, pair_distance, pair_weight, quality,
                              weight)
 from apicomp.pruner import prune
-from apicomp.trace_model import ApiClassifier, TraceCorpus
+from apicomp.rng import SplitMix64, derive_seed
+from apicomp.trace_model import (ApiClassifier, CallNode, CallTree, Origin,
+                                 TraceCorpus)
 
 A, B, C, D, E, L = (m(f"lib.Ops.{x}") for x in "ABCDEL")
 TOL = 1e-12
@@ -202,6 +205,72 @@ class TestDistancePairCap:
         x, y = m("lib.O.x"), m("lib.O.y")
         assert average_path_length(x, y, tree) == pytest.approx(
             bf.avg_distance(x, y, tree), abs=TOL)
+
+    @pytest.mark.parametrize("cap", [1, 7, 50, 999, 1000])
+    def test_capped_mean_is_the_oracle_mean_of_the_drawn_pairs(self, cap):
+        tree = self._bushy_corpus().trees["a"][0]
+        x, y = m("lib.O.x"), m("lib.O.y")
+        config = MetricConfig(distance_pair_cap=cap)
+        expected = drawn_pairs_oracle_mean(tree, x, y, cap)
+        assert average_path_length(x, y, tree, config) == expected
+        assert average_path_length(y, x, tree, config) == expected
+
+    @given(st.integers(0, 10_000), st.integers(1, 12))
+    @settings(max_examples=60, deadline=None)
+    def test_capped_mean_matches_oracle_on_random_trees(self, seed, cap):
+        # Three methods over up to 40 nodes: most pairs repeat past the cap.
+        pool = [f"lib.R.m{i}" for i in range(3)]
+        tree = build_tree("a", "s", random_tree_spec(random.Random(seed), pool, 40))
+        config = MetricConfig(distance_pair_cap=cap)
+        present = sorted({node.method for node, _ in bf.node_list(tree)})
+        for c, v in itertools.combinations(present, 2):
+            assert average_path_length(c, v, tree, config) == \
+                drawn_pairs_oracle_mean(tree, c, v, cap)
+
+    def test_deep_chain_means_are_depth_differences(self):
+        # One 3,000-deep chain over 4 methods, far past the recursion limit.
+        # On a chain a path length is the depth difference, and pre-order
+        # numbers a node by its depth.
+        rng = random.Random(3)
+        names = [f"lib.Chain.m{rng.randrange(4)}" for _ in range(3_000)]
+        node = None
+        for name in reversed(names):
+            node = CallNode(m(name), Origin.API, [node] if node else [])
+        tree = CallTree("a", "s", node)
+        depths: dict = {}
+        for d, name in enumerate(names):
+            depths.setdefault(m(name), []).append(d)
+        cap = MetricConfig().distance_pair_cap
+        for c, v in itertools.combinations(sorted(depths), 2):
+            occ_c, occ_v = depths[c], depths[v]
+            total = len(occ_c) * len(occ_v)
+            assert total > cap
+            exact = sum(abs(i - j) for i in occ_c for j in occ_v) / total
+            assert average_path_length(
+                c, v, tree, MetricConfig(distance_pair_cap=total + 1)) == exact
+            drawn = SplitMix64(derive_seed("a", "s", c.qualified, v.qualified)
+                               ).sample_indices(total, cap)
+            sampled = sum(abs(occ_c[k // len(occ_v)] - occ_v[k % len(occ_v)])
+                          for k in drawn) / cap
+            assert average_path_length(c, v, tree) == sampled
+
+
+def drawn_pairs_oracle_mean(tree, c, v, cap: int) -> float:
+    """Mean BFS path length over the occurrence pairs the cap selects: all
+    of them up to the cap, else the pairs the seeded splitmix64 draws."""
+    if v < c:
+        c, v = v, c
+    nodes = bf.node_list(tree)
+    adj = bf._adjacency(nodes)
+    occ_c = [i for i, (n, _) in enumerate(nodes) if n.method == c]
+    occ_v = [i for i, (n, _) in enumerate(nodes) if n.method == v]
+    total = len(occ_c) * len(occ_v)
+    flat = range(total) if total <= cap else SplitMix64(
+        derive_seed(tree.app_id, tree.scenario_id, c.qualified, v.qualified)
+    ).sample_indices(total, cap)
+    lengths = [bf.path_length(nodes, adj, occ_c[k // len(occ_v)], occ_v[k % len(occ_v)])
+               for k in flat]
+    return sum(lengths) / len(lengths)
 
 
 # -- properties ----------------------------------------------------------------
