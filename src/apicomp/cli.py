@@ -86,7 +86,8 @@ def _positive_int(text: str) -> int:
 
 def _add_jobs_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument("--jobs", type=_positive_int, default=1,
-                   help="parallel workers for parse/prune/edge stages (default 1)")
+                   help="parallel workers for per-file parsing, per-tree pruning "
+                        "and the per-tree pair pass (default 1)")
 
 
 def _classifier_from(args) -> ApiClassifier:

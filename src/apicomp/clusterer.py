@@ -19,15 +19,18 @@ unit. Clustering runs in two phases:
 
 Clusters may overlap and always cover every vertex. Ties are broken by
 higher degree and then by method name, so results are deterministic.
+
+Star qualities and the cover run on the graph's ``IntView``, whose vertex
+numbers follow name order, so comparing ints breaks ties as names would.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
+from itertools import chain, repeat
 from dataclasses import dataclass
 
-from .graph_builder import ApiGraph
+from .graph_builder import ApiGraph, IntView
 from .trace_model import MethodRef
 
 RC_COMPARISONS = ("prose", "caption")
@@ -82,44 +85,63 @@ def star(graph: ApiGraph, v: MethodRef) -> WsGraph:
     return WsGraph(v, frozenset(graph.neighbors(v)))
 
 
+def _members_quality(members: list[int], view: IntView) -> float:
+    """Average edge weight over all pairs of the sorted vertex ints, summed
+    in ``combinations`` order, missing edges counting as 0; 0 below two
+    members. The one star-quality kernel."""
+    k = len(members)
+    if k < 2:
+        return 0.0
+    weights = view.weights
+    # Row by row, pair (a, b) for each b after a: combinations order, summed
+    # by one sum() so the float total matches a sum over combinations().
+    rows = (map(weights[a].get, members[i + 1:], repeat(0.0))
+            for i, a in enumerate(members))
+    return sum(chain.from_iterable(rows)) / (k * (k - 1) // 2)
+
+
+def _star_quality(i: int, view: IntView) -> float:
+    return _members_quality(sorted((i, *view.adjacency[i])), view)
+
+
 def ws_quality(ws: WsGraph, graph: ApiGraph) -> float:
     """Average edge weight over all vertex pairs of the star, missing
-    edges counting as 0; a satellite-less star scores 0."""
-    members = sorted(ws.members)
-    if len(members) < 2:
-        return 0.0
-    pairs = list(itertools.combinations(members, 2))
-    return sum(graph.edge_weight(a, b) for a, b in pairs) / len(pairs)
+    edges counting as 0; a satellite-less star scores 0. Every member
+    must be a vertex of the graph."""
+    view = graph.int_view()
+    return _members_quality(sorted(view.ids[m] for m in ws.members), view)
 
 
-def relative_density(v: MethodRef, state: CoverState, graph: ApiGraph) -> float:
-    """Share of v's satellites not covered yet; 0 for isolated vertices."""
-    satellites = graph.neighbors(v)
+def _uncovered_share(satellites, covered) -> float:
     if not satellites:
         return 0.0
-    uncovered = sum(1 for s in satellites if s not in state.covered)
-    return uncovered / len(satellites)
+    return sum(1 for s in satellites if s not in covered) / len(satellites)
 
 
-def relative_compactness(v: MethodRef, graph: ApiGraph,
-                         config: ClusterConfig | None = None,
-                         qualities: dict[MethodRef, float] | None = None) -> float:
-    """Share of v's satellites whose own stars compare worse (or better,
-    under the "caption" switch) than v's star; 0 for isolated vertices.
-    ``qualities`` maps vertices to their star quality; the ones needed are
-    computed when it is omitted."""
-    config = config or ClusterConfig()
-    satellites = graph.neighbors(v)
+def _compactness(satellites, qualities, own: float, config: ClusterConfig) -> float:
     if not satellites:
         return 0.0
-    if qualities is None:
-        qualities = {s: ws_quality(star(graph, s), graph) for s in (v, *satellites)}
-    own = qualities[v]
     if config.rc_comparison == "prose":
         count = sum(1 for s in satellites if qualities[s] < own)
     else:
         count = sum(1 for s in satellites if qualities[s] > own)
     return count / len(satellites)
+
+
+def relative_density(v: MethodRef, state: CoverState, graph: ApiGraph) -> float:
+    """Share of v's satellites not covered yet; 0 for isolated vertices."""
+    return _uncovered_share(graph.neighbors(v), state.covered)
+
+
+def relative_compactness(v: MethodRef, graph: ApiGraph,
+                         config: ClusterConfig | None = None) -> float:
+    """Share of v's satellites whose own stars compare worse (or better,
+    under the "caption" switch) than v's star; 0 for isolated vertices."""
+    view = graph.int_view()
+    i = view.ids[v]
+    satellites = view.adjacency[i]
+    qualities = {s: _star_quality(s, view) for s in (i, *satellites)}
+    return _compactness(satellites, qualities, qualities[i], config or ClusterConfig())
 
 
 def initial_clusters(graph: ApiGraph,
@@ -132,20 +154,25 @@ def initial_clusters(graph: ApiGraph,
     rank last and become their own centers.
     """
     config = config or ClusterConfig()
-    state = CoverState([], set())
-    qualities = {v: ws_quality(star(graph, v), graph) for v in graph.vertices}
-    rq = {v: (relative_density(v, state, graph)
-              + relative_compactness(v, graph, config, qualities)) / 2.0
-          for v in graph.vertices}
-    order = sorted(graph.vertices, key=lambda v: (-rq[v], -graph.degree(v), v))
+    view = graph.int_view()
+    adjacency = view.adjacency
+    qualities = [_star_quality(i, view) for i in range(len(adjacency))]
+    rq = [(_uncovered_share(sats, ()) + _compactness(sats, qualities, qualities[i], config))
+          / 2.0 for i, sats in enumerate(adjacency)]
+    order = sorted(range(len(adjacency)),
+                   key=lambda i: (-rq[i], -len(adjacency[i]), i))
 
-    for v in order:
-        satellites = graph.neighbors(v)
-        if v not in state.covered or any(s not in state.covered for s in satellites):
-            state.centers.append(v)
-            state.covered.add(v)
-            state.covered.update(satellites)
-    return state
+    centers: list[int] = []
+    covered = [False] * len(adjacency)
+    for i in order:
+        satellites = adjacency[i]
+        if not covered[i] or not all(covered[s] for s in satellites):
+            centers.append(i)
+            covered[i] = True
+            for s in satellites:
+                covered[s] = True
+    # Each vertex is a center or covered by the time the scan reaches it.
+    return CoverState([view.names[i] for i in centers], set(view.names))
 
 
 def refine_clusters(graph: ApiGraph, state: CoverState,

@@ -11,7 +11,9 @@ other provided method.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
+from typing import Iterable
 
 from .clusterer import Cluster
 from .trace_model import MethodRef, TraceCorpus
@@ -77,10 +79,12 @@ class RelatednessLabels:
         return cls.from_pairs(pairs)
 
 
-def _call_edges(corpus: TraceCorpus) -> dict[tuple[MethodRef, MethodRef], CallWitness]:
-    """Directed parent-child method edges with their first witness, in
-    deterministic corpus order. Connector edges are not calls."""
-    edges: dict[tuple[MethodRef, MethodRef], CallWitness] = {}
+def _call_edges(
+        corpus: TraceCorpus) -> dict[MethodRef, list[tuple[int, MethodRef, CallWitness]]]:
+    """Directed parent-child method edges by caller, each as (position in
+    corpus order, callee, first witness). Connector edges are not calls."""
+    seen: set[tuple[MethodRef, MethodRef]] = set()
+    by_caller: dict[MethodRef, list[tuple[int, MethodRef, CallWitness]]] = {}
     for app_id, trees in corpus.trees.items():
         for tree in trees:
             for node in tree.nodes():
@@ -88,20 +92,26 @@ def _call_edges(corpus: TraceCorpus) -> dict[tuple[MethodRef, MethodRef], CallWi
                     continue
                 for child in node.children:
                     key = (node.method, child.method)
-                    if key not in edges:
-                        edges[key] = CallWitness(app_id, tree.scenario_id, node.method)
-    return edges
+                    if key not in seen:
+                        by_caller.setdefault(node.method, []).append(
+                            (len(seen), child.method,
+                             CallWitness(app_id, tree.scenario_id, node.method)))
+                        seen.add(key)
+    return by_caller
 
 
 def assemble(clusters: list[Cluster], corpus: TraceCorpus) -> list[Component]:
     """Build one component per cluster, preserving cluster order."""
-    edges = _call_edges(corpus)
+    by_caller = _call_edges(corpus)
     components = []
     for c in clusters:
         provided = frozenset(c.members)
+        # The members' out-edges in corpus order, so the first witness wins.
+        out_edges = sorted((edge for m in provided for edge in by_caller.get(m, ())),
+                           key=itemgetter(0))
         witnesses: dict[MethodRef, CallWitness] = {}
-        for (caller, callee), witness in edges.items():
-            if caller in provided and callee not in provided:
+        for _, callee, witness in out_edges:
+            if callee not in provided:
                 witnesses.setdefault(callee, witness)
         components.append(Component(
             center=c.center,
@@ -124,10 +134,13 @@ def component_stats(components: list[Component]) -> ComponentStats:
     )
 
 
-def precision(component: Component, labels: RelatednessLabels) -> float:
-    """Share of provided methods related to another method of the same
-    interface; raises on an empty interface."""
-    provided = sorted(component.provided_interface)
+def precision(provided: Iterable[MethodRef] | Component,
+              labels: RelatednessLabels) -> float:
+    """Share of the provided methods related to another of them; raises on
+    an empty set. A component stands for its provided interface."""
+    if isinstance(provided, Component):
+        provided = provided.provided_interface
+    provided = sorted(set(provided))
     if not provided:
         raise ValueError("cannot score a component with an empty interface")
     related = sum(

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .metrics import CorpusMetrics, MetricConfig, QualityWeights
 from .trace_model import MethodRef, TraceCorpus
@@ -27,17 +27,31 @@ class GraphConfig:
                 f"edge_threshold must be in [0, 1), got {self.edge_threshold}")
 
 
+class IntView(NamedTuple):
+    """An ``ApiGraph`` with its vertices numbered in name order: ``names[i]``
+    is vertex i, ``ids`` maps back, ``adjacency[i]`` lists i's neighbors in
+    ascending order and ``weights[i]`` maps each neighbor to the edge weight.
+    Int order is name order, so sorting ints sorts methods."""
+
+    names: tuple[MethodRef, ...]
+    ids: dict[MethodRef, int]
+    adjacency: list[list[int]]
+    weights: list[dict[int, float]]
+
+
 class ApiGraph:
     """Undirected weighted graph over methods with deterministic ordering.
 
-    Vertices and adjacency lists are kept sorted by (class, method) so every
+    Vertices and adjacency lists are read in (class, method) order, from an
+    ``IntView`` built on first use and discarded by ``add_edge``, so every
     traversal of the same graph yields the same sequence.
     """
 
     def __init__(self, vertices: Iterable[MethodRef],
                  edges: dict[tuple[MethodRef, MethodRef], float] | None = None) -> None:
         self._adjacency: dict[MethodRef, dict[MethodRef, float]] = {
-            v: {} for v in sorted(set(vertices))}
+            v: {} for v in vertices}
+        self._view: IntView | None = None
         for (u, v), w in (edges or {}).items():
             self.add_edge(u, v, w)
 
@@ -46,15 +60,22 @@ class ApiGraph:
             raise ValueError(f"self-loop on {u}")
         if not 0.0 <= weight <= 1.0:
             raise ValueError(f"edge weight must be in [0, 1], got {weight}")
-        for end in (u, v):
-            if end not in self._adjacency:
-                self._adjacency[end] = {}
-        self._adjacency[u][v] = weight
-        self._adjacency[v][u] = weight
+        self._view = None
+        self._adjacency.setdefault(u, {})[v] = weight
+        self._adjacency.setdefault(v, {})[u] = weight
+
+    def int_view(self) -> IntView:
+        """The graph numbered in name order; built once per set of edges."""
+        if self._view is None:
+            names = tuple(sorted(self._adjacency))
+            ids = {v: i for i, v in enumerate(names)}
+            weights = [{ids[n]: w for n, w in self._adjacency[v].items()} for v in names]
+            self._view = IntView(names, ids, [sorted(ws) for ws in weights], weights)
+        return self._view
 
     @property
     def vertices(self) -> tuple[MethodRef, ...]:
-        return tuple(sorted(self._adjacency))
+        return self.int_view().names
 
     def __contains__(self, v: MethodRef) -> bool:
         return v in self._adjacency
@@ -63,7 +84,8 @@ class ApiGraph:
         return len(self._adjacency)
 
     def neighbors(self, v: MethodRef) -> tuple[MethodRef, ...]:
-        return tuple(sorted(self._adjacency[v]))
+        view = self.int_view()
+        return tuple(view.names[i] for i in view.adjacency[view.ids[v]])
 
     def degree(self, v: MethodRef) -> int:
         return len(self._adjacency[v])
@@ -77,13 +99,14 @@ class ApiGraph:
 
     def edges(self) -> Iterator[tuple[MethodRef, MethodRef, float]]:
         """All edges once, endpoints ordered, sorted."""
-        for u in self.vertices:
-            for v in self.neighbors(u):
+        names, _, adjacency, weights = self.int_view()
+        for u, neighbors in enumerate(adjacency):
+            for v in neighbors:
                 if u < v:
-                    yield u, v, self._adjacency[u][v]
+                    yield names[u], names[v], weights[u][v]
 
     def edge_count(self) -> int:
-        return sum(1 for _ in self.edges())
+        return sum(map(len, self._adjacency.values())) // 2
 
 
 def build_graph(corpus: TraceCorpus, config: GraphConfig | None = None,
@@ -91,24 +114,23 @@ def build_graph(corpus: TraceCorpus, config: GraphConfig | None = None,
     """Build the method graph of a pruned corpus.
 
     Only pairs that actually co-occur are scored (everything else would
-    weigh 0 on frequency and weight anyway). ``mapper`` may be a thread
-    pool's ``map``; pair order is fixed, so the result is deterministic
-    regardless of scheduling.
+    weigh 0 on frequency and weight anyway). Each scored pair's edge weight
+    is its two-method ``quality``, blended from its table row: over one
+    pair, ``call_freq``, ``call_dist`` and ``call_weight`` are exactly
+    ``(lfreq + gfreq) / 2``, ``distance`` and ``weight``. ``mapper`` may be
+    a thread pool's ``map``; it runs the per-tree pair pass, whose results
+    are merged in corpus order, so the graph does not depend on scheduling.
     """
     config = config or GraphConfig()
     if corpus.is_empty():
         return ApiGraph(())
-    engine = CorpusMetrics(corpus, config.metrics)
-    vertices = engine.methods()
-    pairs = engine.co_occurring_pairs()
-
-    def score(pair: tuple[MethodRef, MethodRef]) -> float:
-        return engine.quality(pair, config.weights)
-
-    graph = ApiGraph(vertices)
-    for (u, v), w in zip(pairs, mapper(score, pairs)):
+    engine = CorpusMetrics(corpus, config.metrics, mapper)
+    names, blend = engine.names, config.weights.blend
+    graph = ApiGraph(names)
+    for (c, v), row in engine.table.items():
+        w = blend((row.lfreq + row.gfreq) / 2.0, row.distance, row.weight)
         if w >= config.edge_threshold:
-            graph.add_edge(u, v, w)
+            graph.add_edge(names[c], names[v], w)
     return graph
 
 

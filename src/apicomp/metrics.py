@@ -15,7 +15,9 @@ lambda weights. All results lie in [0, 1].
 
 ``CorpusMetrics`` scores every co-occurring pair once, at construction, and
 is the implementation behind the module-level convenience functions; prefer
-it when evaluating many pairs over the same corpus.
+it when evaluating many pairs over the same corpus. It numbers the distinct
+methods in name order, so every pair inside it is a pair of ints whose order
+is the order of the names.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from typing import Callable, Iterable, Sequence
 
 from .rng import SplitMix64, derive_seed
 from .trace_model import CallNode, CallTree, MethodRef, TraceCorpus
@@ -48,6 +51,11 @@ class QualityWeights:
 
     def total(self) -> float:
         return self.lambda_freq + self.lambda_dist + self.lambda_weight
+
+    def blend(self, freq: float, dist: float, weight: float) -> float:
+        """Quality from the three attribute values, normalized to [0, 1]."""
+        return (self.lambda_freq * freq + self.lambda_dist * dist
+                + self.lambda_weight * weight) / self.total()
 
 
 @dataclass(frozen=True)
@@ -99,7 +107,8 @@ def _check_set(methods) -> list[MethodRef]:
 
 class _TreeIndex:
     """Flat arrays over one tree, numbered in pre-order: parents, depths and
-    method occurrences.
+    method occurrences. Methods are the ints ``ids`` assigns them, positions
+    in ``names``, which is sorted, so int order is name order.
 
     The connector root, when present, is indexed like any node so paths
     between subtrees step through it, but it is never an occurrence and
@@ -114,35 +123,39 @@ class _TreeIndex:
     over the same pairs would, so the mean is the same float.
     """
 
-    __slots__ = ("app_id", "scenario_id", "methods", "occurrences", "parent",
-                 "depth", "tree_depth", "edge_total", "direct_pairs",
+    __slots__ = ("app_id", "scenario_id", "names", "methods", "occurrences",
+                 "parent", "depth", "tree_depth", "edge_total", "direct_pairs",
                  "_sums_method", "_sums", "_head")
 
-    def __init__(self, tree: CallTree) -> None:
+    def __init__(self, tree: CallTree, names: Sequence[MethodRef],
+                 ids: dict[MethodRef, int]) -> None:
         self.app_id = tree.app_id
         self.scenario_id = tree.scenario_id
+        self.names = names
         self.parent: list[int] = []
         self.depth: list[int] = []
-        self.occurrences: dict[MethodRef, list[int]] = {}
+        self.occurrences: dict[int, list[int]] = {}
         self.direct_pairs: Counter = Counter()
         self.edge_total = 0
-        self._sums_method: MethodRef | None = None
+        self._sums_method = -1
         self._sums: list[int] = []
         self._head: list[int] | None = None
 
-        labels: list[MethodRef | None] = []
+        labels: list[int] = []  # -1 for the connector root
         stack: list[tuple[CallNode, int, int]] = [(tree.root, -1, 0)]
         while stack:
             node, parent_idx, d = stack.pop()
             idx = len(labels)
-            labels.append(node.method)
+            label = -1 if node.method is None else ids[node.method]
+            labels.append(label)
             self.parent.append(parent_idx)
             self.depth.append(d)
-            if node.method is not None:
-                self.occurrences.setdefault(node.method, []).append(idx)
-                parent_label = labels[parent_idx] if parent_idx >= 0 else None
-                if parent_label is not None:
-                    key = (min(parent_label, node.method), max(parent_label, node.method))
+            if label >= 0:
+                self.occurrences.setdefault(label, []).append(idx)
+                parent_label = labels[parent_idx] if parent_idx >= 0 else -1
+                if parent_label >= 0:
+                    key = ((parent_label, label) if parent_label < label
+                           else (label, parent_label))
                     self.direct_pairs[key] += 1
                     self.edge_total += 1
             for child in reversed(node.children):
@@ -151,10 +164,10 @@ class _TreeIndex:
         self.methods = frozenset(self.occurrences)
         self.tree_depth = max(self.depth) if self.depth else 0
 
-    def co_occur(self, c: MethodRef, v: MethodRef) -> int:
+    def co_occur(self, c: int, v: int) -> int:
         return int(c in self.methods and v in self.methods)
 
-    def _distance_sums(self, c: MethodRef) -> list[int]:
+    def _distance_sums(self, c: int) -> list[int]:
         """``S[y]``: the summed path length from every occurrence of c to y.
 
         With ``below[y]`` the occurrences of c in y's subtree, stepping
@@ -204,7 +217,7 @@ class _TreeIndex:
                 j = parent[head[j]]
         return i if depth[i] < depth[j] else j
 
-    def average_path_length(self, c: MethodRef, v: MethodRef, cap: int) -> float:
+    def average_path_length(self, c: int, v: int, cap: int) -> float:
         """Mean path length (in edges) over occurrence pairs of c and v.
 
         Exact up to ``cap`` occurrence pairs; above it, the mean over a
@@ -223,7 +236,7 @@ class _TreeIndex:
             sums = self._distance_sums(c)
             return sum(sums[j] for j in occ_v) / total_pairs
         rng = SplitMix64(derive_seed(self.app_id, self.scenario_id,
-                                     c.qualified, v.qualified))
+                                     self.names[c].qualified, self.names[v].qualified))
         depth = self.depth
         total = 0
         for k in rng.sample_indices(total_pairs, cap):
@@ -231,7 +244,7 @@ class _TreeIndex:
             total += depth[i] + depth[j] - 2 * depth[self._lca(i, j)]
         return total / cap
 
-    def distance_score(self, c: MethodRef, v: MethodRef, cap: int) -> float:
+    def distance_score(self, c: int, v: int, cap: int) -> float:
         """1 - avg path / (2 * depth), clamped to [0, 1]; 0 when absent."""
         if self.tree_depth == 0:
             return 0.0
@@ -240,47 +253,76 @@ class _TreeIndex:
         score = 1.0 - self.average_path_length(c, v, cap) / (2.0 * self.tree_depth)
         return min(1.0, max(0.0, score))
 
-    def weight_share(self, c: MethodRef, v: MethodRef) -> float:
+    def weight_share(self, c: int, v: int) -> float:
         """Direct parent-child calls between c and v over all invocation edges."""
-        if self.edge_total == 0:
-            return 0.0
-        key = (min(c, v), max(c, v))
-        return self.direct_pairs.get(key, 0) / self.edge_total
+        count = self.direct_pairs.get((c, v) if c < v else (v, c))
+        return count / self.edge_total if count else 0.0
+
+    def scored_pairs(self, cap: int) -> tuple[list[int], list[float], list[float]]:
+        """The tree's methods, sorted, and the distance scores and weight
+        shares of their pairs in ``combinations`` order."""
+        methods = sorted(self.methods)
+        return (methods,
+                [self.distance_score(c, v, cap)
+                 for c, v in itertools.combinations(methods, 2)],
+                [self.weight_share(c, v) for c, v in itertools.combinations(methods, 2)])
+
+
+def _index_pair(c: MethodRef, v: MethodRef,
+                tree: CallTree) -> tuple[_TreeIndex, int, int]:
+    """A one-tree index numbering the tree's methods and c and v, with the
+    ids of c and v."""
+    _check_pair(c, v)
+    names = sorted({n.method for n in tree.method_nodes()} | {c, v})
+    ids = {name: i for i, name in enumerate(names)}
+    return _TreeIndex(tree, names, ids), ids[c], ids[v]
 
 
 class CorpusMetrics:
     """Affinity evaluator over one pruned corpus.
 
-    Construction is the only walk over the trees: apps in corpus order,
-    trees in order, each tree adding its co-occurring pairs to a per-pair
-    row. Rows are reduced in the order and form a per-pair scan would use,
-    less the exact 0.0 terms of trees without the pair, so the accessors
-    are table lookups; a pair that never co-occurs scores 0.0 on all four.
+    ``names`` holds the distinct methods in sorted order and ``ids`` their
+    positions; ``table`` maps each co-occurring pair of ids ``(c, v)``,
+    c < v, to its scores, in sorted pair order.
+
+    Construction walks the trees twice: once to number the methods, then
+    once to score each tree's pairs, in one task of ``mapper`` per tree
+    (``mapper`` may be a thread pool's ``map``). The results are merged
+    apps in corpus order, trees in order, into a per-pair row. Rows are
+    reduced in the order and form a per-pair scan would use, less the exact
+    0.0 terms of trees without the pair, so the accessors are table
+    lookups; a pair that never co-occurs scores 0.0 on all four.
     """
 
     _ABSENT = PairAffinity(0.0, 0.0, 0.0, 0.0)
 
-    def __init__(self, corpus: TraceCorpus, config: MetricConfig | None = None) -> None:
+    def __init__(self, corpus: TraceCorpus, config: MetricConfig | None = None,
+                 mapper: Callable[..., Iterable] = map) -> None:
         if corpus.is_empty():
             raise ValueError("cannot evaluate metrics over an empty corpus")
         self.config = config or MetricConfig()
         cap = self.config.distance_pair_cap
         apps = len(corpus.trees)
-        self._methods: set[MethodRef] = set()
+        self.names: list[MethodRef] = sorted({node.method for tree in corpus.all_trees()
+                                              for node in tree.method_nodes()})
+        self.ids: dict[MethodRef, int] = {m: i for i, m in enumerate(self.names)}
+
+        def score_tree(tree: CallTree) -> tuple[list[int], list[float], list[float]]:
+            return _TreeIndex(tree, self.names, self.ids).scored_pairs(cap)
+
+        scored = iter(mapper(score_tree, list(corpus.all_trees())))
         # Per pair: [local total, distance total, apps containing it, trees
         # containing it, their nonzero weight shares in corpus order].
         rows: defaultdict = defaultdict(lambda: [0.0, 0.0, 0, 0, []])
         for trees in corpus.trees.values():
             # Per pair: distance scores in this app's trees.
-            in_app: dict[tuple[MethodRef, MethodRef], list[float]] = {}
-            for tree in trees:
-                ix = _TreeIndex(tree)
-                self._methods.update(ix.methods)
-                for c, v in itertools.combinations(sorted(ix.methods), 2):
-                    in_app.setdefault((c, v), []).append(ix.distance_score(c, v, cap))
-                    share = ix.weight_share(c, v)
+            in_app: dict[tuple[int, int], list[float]] = {}
+            for methods, dists, shares in itertools.islice(scored, len(trees)):
+                for pair, dist, share in zip(itertools.combinations(methods, 2),
+                                             dists, shares):
+                    in_app.setdefault(pair, []).append(dist)
                     if share:
-                        rows[c, v][4].append(share)
+                        rows[pair][4].append(share)
             for pair, scores in in_app.items():
                 row = rows[pair]
                 row[0] += len(scores) / len(trees)
@@ -288,24 +330,28 @@ class CorpusMetrics:
                 row[2] += 1
                 row[3] += len(scores)
         literal = self.config.weight_formula == "literal"
-        self._table: dict[tuple[MethodRef, MethodRef], PairAffinity] = {
-            pair: PairAffinity(local / apps, containing / apps, dist / apps,
-                               sum(shares) / (apps if literal else count))
-            for pair, (local, dist, containing, count, shares) in rows.items()}
+        self.table: dict[tuple[int, int], PairAffinity] = {}
+        for pair in sorted(rows):
+            local, dist, containing, count, shares = rows[pair]
+            self.table[pair] = PairAffinity(local / apps, containing / apps, dist / apps,
+                                            sum(shares) / (apps if literal else count))
 
     def methods(self) -> list[MethodRef]:
         """All distinct methods occurring anywhere, in stable sorted order."""
-        return sorted(self._methods)
+        return list(self.names)
 
     def co_occurring_pairs(self) -> list[tuple[MethodRef, MethodRef]]:
         """Sorted distinct pairs that share at least one tree."""
-        return sorted(self._table)
+        return [(self.names[c], self.names[v]) for c, v in self.table]
 
     # -- pairwise attributes -------------------------------------------------
 
     def pair_affinity(self, c: MethodRef, v: MethodRef) -> PairAffinity:
         _check_pair(c, v)
-        return self._table.get((c, v) if c < v else (v, c), self._ABSENT)
+        ic, iv = self.ids.get(c), self.ids.get(v)
+        if ic is None or iv is None:
+            return self._ABSENT
+        return self.table.get((ic, iv) if ic < iv else (iv, ic), self._ABSENT)
 
     def local_freq(self, c: MethodRef, v: MethodRef) -> float:
         """Per-app share of trees containing both methods, averaged over apps."""
@@ -347,41 +393,36 @@ class CorpusMetrics:
 
     def quality(self, methods, weights: QualityWeights | None = None) -> float:
         """Normalized lambda blend of the three set-level attributes."""
-        w = weights or QualityWeights()
-        blended = (w.lambda_freq * self.call_freq(methods)
-                   + w.lambda_dist * self.call_dist(methods)
-                   + w.lambda_weight * self.call_weight(methods))
-        return blended / w.total()
+        return (weights or QualityWeights()).blend(
+            self.call_freq(methods), self.call_dist(methods), self.call_weight(methods))
 
 
 # -- per-tree operations -----------------------------------------------------
 
 def co_occur(c: MethodRef, v: MethodRef, tree: CallTree) -> int:
     """1 iff both methods label at least one node each of the tree."""
-    _check_pair(c, v)
-    return _TreeIndex(tree).co_occur(c, v)
+    ix, ic, iv = _index_pair(c, v, tree)
+    return ix.co_occur(ic, iv)
 
 
 def average_path_length(c: MethodRef, v: MethodRef, tree: CallTree,
                         config: MetricConfig | None = None) -> float:
     """Mean tree path length in edges over all occurrence pairs of c and v."""
-    _check_pair(c, v)
-    cap = (config or MetricConfig()).distance_pair_cap
-    return _TreeIndex(tree).average_path_length(c, v, cap)
+    ix, ic, iv = _index_pair(c, v, tree)
+    return ix.average_path_length(ic, iv, (config or MetricConfig()).distance_pair_cap)
 
 
 def pair_distance(c: MethodRef, v: MethodRef, tree: CallTree,
                   config: MetricConfig | None = None) -> float:
     """Depth-normalized closeness of the pair in one tree, in [0, 1]."""
-    _check_pair(c, v)
-    cap = (config or MetricConfig()).distance_pair_cap
-    return _TreeIndex(tree).distance_score(c, v, cap)
+    ix, ic, iv = _index_pair(c, v, tree)
+    return ix.distance_score(ic, iv, (config or MetricConfig()).distance_pair_cap)
 
 
 def pair_weight(c: MethodRef, v: MethodRef, tree: CallTree) -> float:
     """Share of the tree's invocation edges directly linking c and v."""
-    _check_pair(c, v)
-    return _TreeIndex(tree).weight_share(c, v)
+    ix, ic, iv = _index_pair(c, v, tree)
+    return ix.weight_share(ic, iv)
 
 
 # -- corpus-level convenience wrappers ---------------------------------------

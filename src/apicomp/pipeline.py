@@ -1,8 +1,8 @@
 """End-to-end orchestration: parse, classify, prune, score, cluster, report.
 
-Parsing, pruning and edge weighting run through a mapper that may be a
-thread pool; stage outputs are ordered by input, so the report bytes do not
-depend on the parallelism degree.
+Per-file parsing, per-tree pruning and the per-tree pair pass run through
+a mapper that may be a thread pool; their outputs are merged in input
+order, so the report bytes do not depend on the parallelism degree.
 """
 
 from __future__ import annotations

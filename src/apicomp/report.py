@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .components import Component, RelatednessLabels, component_stats, precision
 from .graph_builder import ApiGraph
-from .trace_model import TraceCorpus, tree_stats
+from .trace_model import MethodRef, TraceCorpus, tree_stats
 
 REPORT_SCHEMA = "apicomp-report/1"
 EVALUATION_SCHEMA = "apicomp-evaluation/1"
@@ -190,22 +190,34 @@ def write_report(report: dict, out_dir: str | Path) -> None:
                                         encoding="utf-8")
 
 
-def build_evaluation(report: dict, labels: RelatednessLabels) -> dict:
-    """Score every reported component against the relatedness labels."""
-    from .trace_model import MethodRef
+def _check_report(report) -> None:
+    """Raise ValueError unless ``report`` is an ``apicomp-report/1`` whose
+    components carry what evaluation reads."""
+    schema = report.get("schema") if isinstance(report, dict) else None
+    if schema != REPORT_SCHEMA:
+        raise ValueError(f"not an {REPORT_SCHEMA} report (schema {schema!r})")
+    components = report.get("components")
+    if not isinstance(components, list):
+        raise ValueError("report has no 'components' list")
+    for comp in components:
+        if not (isinstance(comp, dict) and "id" in comp
+                and isinstance(comp.get("center"), str)
+                and isinstance(comp.get("provided_interface"), list)
+                and all(isinstance(q, str) for q in comp["provided_interface"])):
+            raise ValueError("report component lacks an id, a center or a "
+                             "provided_interface list of method names")
 
+
+def build_evaluation(report: dict, labels: RelatednessLabels) -> dict:
+    """Score every reported component against the relatedness labels;
+    raises ValueError on anything but an ``apicomp-report/1`` report."""
+    _check_report(report)
     rows = []
     total = 0.0
     for comp in report["components"]:
         methods = frozenset(MethodRef.from_qualified(q)
                             for q in comp["provided_interface"])
-        fake = Component(
-            center=MethodRef.from_qualified(comp["center"]),
-            provided_interface=methods,
-            implementation_classes=frozenset(m.class_name for m in methods),
-            required_interface=frozenset(),
-        )
-        value = precision(fake, labels)
+        value = precision(methods, labels)
         total += value
         rows.append({
             "id": comp["id"],

@@ -218,6 +218,20 @@ class TestEvaluate:
         evaluation = json.loads((out / "evaluation.json").read_text())
         assert evaluation["mean_precision"] == 0.0
 
+    @pytest.mark.parametrize("report", [{"schema": "x"}, [],
+                                        {"schema": "apicomp-report/1",
+                                         "components": [{"id": 0}]}],
+                             ids=["other-schema", "top-level-list", "bad-component"])
+    def test_malformed_report_is_usage_error(self, tmp_path, capsys, report):
+        report_file = tmp_path / "report.json"
+        report_file.write_text(json.dumps(report), encoding="utf-8")
+        labels_file = tmp_path / "labels.txt"
+        labels_file.write_text("# none\n", encoding="utf-8")
+        assert run_cli("evaluate", "--report", str(report_file),
+                       "--labels", str(labels_file)) == 1
+        assert capsys.readouterr().err.startswith("apicomp: error: ")
+        assert not (tmp_path / "evaluation.json").exists()
+
 
 class TestGenerateCommand:
     def test_infeasible_spec_is_config_error(self, tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -264,6 +265,25 @@ def test_every_cluster_is_connected_through_its_center(seed):
                     reached.add(nxt)
                     frontier.append(nxt)
         assert reached == set(c.members)
+
+
+@given(st.integers(0, 10_000), st.integers(0, 10_000))
+@settings(max_examples=40, deadline=None)
+def test_ws_quality_is_the_mean_over_sorted_pairs(seed, pick):
+    """The int kernel sums in ``combinations(sorted(members))`` order, so it
+    equals the plain mean over methods bit for bit, for stars and for any
+    member set."""
+    graph = random_graph(seed)
+    vertices = graph.vertices
+    rng = random.Random(pick)
+    center = rng.choice(vertices)
+    others = [v for v in vertices if v != center]
+    for ws in (star(graph, center),
+               WsGraph(center, frozenset(rng.sample(others, rng.randint(0, len(others)))))):
+        pairs = list(itertools.combinations(sorted(ws.members), 2))
+        expected = (sum(graph.edge_weight(a, b) for a, b in pairs) / len(pairs)
+                    if pairs else 0.0)
+        assert ws_quality(ws, graph) == expected
 
 
 def test_render_clusters_sorted_center_first():

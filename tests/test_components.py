@@ -1,12 +1,15 @@
+import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import build_corpus, m
+from conftest import build_corpus, m, random_corpus
 
 from apicomp.clusterer import Cluster
-from apicomp.components import (Component, RelatednessLabels, assemble,
-                                component_stats, precision)
+from apicomp.components import (CallWitness, Component, RelatednessLabels,
+                                assemble, component_stats, precision)
 
 
 def cluster_of(*names: str) -> Cluster:
@@ -62,6 +65,27 @@ class TestAssemble:
         clusters = [cluster_of("lib.X.G"), cluster_of("lib.X.B")]
         comps = assemble(clusters, chain_corpus)
         assert [c.center for c in comps] == [m("lib.X.G"), m("lib.X.B")]
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=30, deadline=None)
+def test_witness_is_the_first_call_in_corpus_order(seed):
+    """Against a scan of every call edge in corpus order per cluster."""
+    corpus = random_corpus(seed, max_trees=6, max_nodes=15)
+    methods = sorted({n.method for t in corpus.all_trees() for n in t.method_nodes()})
+    rng = random.Random(seed)
+    clusters = [Cluster(ms[0], frozenset(ms)) for ms in
+                (rng.sample(methods, rng.randint(1, len(methods))) for _ in range(4))]
+    for c, comp in zip(clusters, assemble(clusters, corpus)):
+        expected: dict = {}
+        for app_id, trees in corpus.trees.items():
+            for tree in trees:
+                for node in tree.method_nodes():
+                    for child in node.children:
+                        if node.method in c.members and child.method not in c.members:
+                            expected.setdefault(child.method, CallWitness(
+                                app_id, tree.scenario_id, node.method))
+        assert comp.required_witnesses == expected
 
 
 class TestComponentStats:
@@ -124,6 +148,12 @@ class TestPrecision:
         methods = [m("a.C.x"), m("a.C.y"), m("a.D.z")]
         labels = RelatednessLabels.from_pairs(list(combinations(methods, 2)))
         assert precision(self._component(methods), labels) == 1.0
+
+    def test_method_set(self):
+        methods = [m("a.C.x"), m("a.C.y"), m("a.D.z")]
+        labels = RelatednessLabels.from_pairs([(methods[0], methods[1])])
+        assert precision(frozenset(methods), labels) == 2 / 3
+        assert precision(methods, labels) == precision(self._component(methods), labels)
 
     def test_none_related(self):
         methods = [m("a.C.x"), m("a.C.y")]

@@ -1,10 +1,11 @@
-"""Exact bytes of ``apicomp graph`` on a small generated corpus.
+"""Exact bytes of ``apicomp graph``, ``cluster`` and ``run`` on small
+generated corpora.
 
 The oracle tests compare scores to within 1e-12, so a change in the order
 or form of a float reduction would pass them while still moving the last
-bit of an edge weight. These sha256s pin ``graph.tsv`` exactly. They were
-recorded with CPython 3.11; ``sum()`` of floats is compensated from 3.12
-on, which may move a last bit there.
+bit of an edge weight. These sha256s pin ``graph.tsv``, the cluster text
+and ``report.json`` exactly. They were recorded with CPython 3.11; ``sum()``
+of floats is compensated from 3.12 on, which may move a last bit there.
 """
 
 import hashlib
@@ -37,3 +38,34 @@ def test_graph_tsv_bytes(corpus_dir, tmp_path, flags, digest):
     assert main(["graph", "--corpus", str(corpus_dir), "--classifier",
                  str(corpus_dir / "classifier.txt"), *flags, "--out", str(out)]) == 0
     assert hashlib.sha256((out / "graph.tsv").read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("comparison, digest", [
+    ("prose", "a3b00c5e9c6e5e6a2b1903662005c0b832c8b306220e206a69723d1a4b7b4674"),
+    ("caption", "bbda81dd97f6c99fdf5e43fe89e8c5cd3e5445a54ec9ce0fd0bbc24e7008cce6"),
+])
+def test_cluster_bytes(corpus_dir, tmp_path, comparison, digest):
+    graph = tmp_path / "graph"
+    assert main(["graph", "--corpus", str(corpus_dir), "--classifier",
+                 str(corpus_dir / "classifier.txt"), "--out", str(graph)]) == 0
+    out = tmp_path / "clusters.txt"
+    assert main(["cluster", "--graph", str(graph / "graph.tsv"),
+                 "--rc-comparison", comparison, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# 24 methods and 164 of 276 possible edges: rank ties that only the degree
+# and the name break, dissolved stars, and 56 required-interface entries.
+NOISY = ["generate", "--components", "4", "--methods-per-component", "3", "5",
+         "--inter-call-prob", "0.3", "--trees-per-app", "4", "--apps", "4",
+         "--tree-depth", "3", "6", "--noise-prob", "0.4", "--seed", "11"]
+
+
+def test_run_report_bytes(tmp_path, monkeypatch):
+    # The report echoes the corpus path, so every path is relative.
+    monkeypatch.chdir(tmp_path)
+    assert main([*NOISY, "--out", "corpus"]) == 0
+    assert main(["run", "--corpus", "corpus", "--classifier",
+                 "corpus/classifier.txt", "--out", "out"]) == 0
+    digest = hashlib.sha256((tmp_path / "out" / "report.json").read_bytes()).hexdigest()
+    assert digest == "9290b19f5c17bceae09536661108690ea5608bc7b5c0d351a0357faf2ccfd576"

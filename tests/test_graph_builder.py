@@ -1,10 +1,15 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import build_corpus, m, random_corpus
 
+from apicomp.clusterer import Cluster, cluster
 from apicomp.graph_builder import (ApiGraph, GraphConfig, build_graph,
                                    read_edge_list, write_dot, write_edge_list)
-from apicomp.metrics import QualityWeights
+from apicomp.metrics import CorpusMetrics, QualityWeights
 from apicomp.trace_model import TraceCorpus
 
 A, B, L = m("lib.Ops.A"), m("lib.Ops.B"), m("lib.Ops.L")
@@ -33,6 +38,23 @@ class TestApiGraph:
         graph.add_edge(L, B, 0.25)
         assert list(graph.edges()) == [(A, B, 0.5), (B, L, 0.25)]
         assert graph.edge_count() == 2
+
+    def test_add_edge_after_reads_refreshes_every_view(self):
+        first = m("lib.Aaa.first")  # sorts before every other vertex
+        graph = ApiGraph([A, B])
+        graph.add_edge(A, B, 0.5)
+        assert graph.neighbors(B) == (A,)
+        assert graph.vertices == (A, B)
+        assert cluster(graph) == [Cluster(A, frozenset({A, B}))]
+        graph.add_edge(first, B, 0.75)
+        assert graph.vertices == (first, A, B)
+        assert graph.neighbors(B) == (first, A)
+        assert graph.edge_weight(first, B) == graph.edge_weight(B, first) == 0.75
+        assert list(graph.edges()) == [(first, B, 0.75), (A, B, 0.5)]
+        # Stars of first and A score 0.75 and 0.5, B's (0.75 + 0.5) / 3, so
+        # both leaves outrank B and first, sorting first, is taken first.
+        assert cluster(graph) == [Cluster(first, frozenset({first, B})),
+                                  Cluster(A, frozenset({A, B}))]
 
 
 class TestBuildGraph:
@@ -87,12 +109,35 @@ class TestBuildGraph:
 
     def test_deterministic_across_runs_and_mappers(self):
         corpus = random_corpus(7)
-        from concurrent.futures import ThreadPoolExecutor
         serial = build_graph(corpus)
         with ThreadPoolExecutor(max_workers=8) as pool:
             parallel = build_graph(corpus, mapper=pool.map)
         assert list(serial.edges()) == list(parallel.edges())
         assert serial.vertices == parallel.vertices
+
+
+@given(st.integers(0, 10_000), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+@settings(max_examples=40, deadline=None)
+def test_edge_weight_is_the_two_method_quality(seed, lambda_dist, lambda_weight):
+    """Blending a table row gives the bits ``quality`` gives for the pair."""
+    corpus = random_corpus(seed, max_trees=6)
+    weights = QualityWeights(1.0, lambda_dist, lambda_weight)
+    graph = build_graph(corpus, GraphConfig(weights=weights))
+    engine = CorpusMetrics(corpus)
+    assert graph.edge_count() == len(engine.co_occurring_pairs())
+    for u, v, w in graph.edges():
+        assert w == engine.quality((u, v), weights)
+
+
+def test_pair_table_is_independent_of_the_mapper():
+    corpus = random_corpus(11, max_trees=12, max_nodes=30)
+    serial = CorpusMetrics(corpus)
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        pooled = CorpusMetrics(corpus, mapper=pool.map)
+    assert pooled.names == serial.names == sorted(serial.names)
+    assert list(pooled.table.items()) == list(serial.table.items())
+    assert list(serial.table) == sorted(serial.table)
+    assert serial.co_occurring_pairs() == sorted(serial.co_occurring_pairs())
 
 
 class TestGraphFiles:
