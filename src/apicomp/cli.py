@@ -11,6 +11,10 @@ artifacts:
   run        full pipeline: corpus -> component report
   evaluate   score a report's components against relatedness labels
 
+``prune``, ``metrics``, ``graph`` and ``run`` read a corpus through
+``pipeline.load_pruned``, and ``--jobs`` reaches the stages through
+``pipeline.worker_map``, the one place a thread pool is created.
+
 Exit codes: 0 success, 1 usage or configuration error, 2 trace parse
 error, 3 empty corpus.
 """
@@ -22,7 +26,6 @@ import csv
 import io
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .clusterer import ClusterConfig, cluster, render_clusters
@@ -30,12 +33,10 @@ from .components import RelatednessLabels
 from .graph_builder import (GraphConfig, build_graph, read_edge_list,
                             write_dot, write_edge_list)
 from .metrics import CorpusMetrics, MetricConfig, QualityWeights
-from .pipeline import RunConfig, run_pipeline
-from .pruner import prune_corpus
+from .pipeline import RunConfig, load_pruned, run_pipeline, worker_map
 from .report import build_evaluation, render_evaluation_text, write_evaluation
 from .synth import PlantSpec, write_generated
-from .trace_model import (ApiClassifier, MethodRef, TraceParseError,
-                          load_corpus, write_corpus)
+from .trace_model import MethodRef, TraceParseError, content_lines, write_corpus
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -84,16 +85,20 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_jobs_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--jobs", type=_positive_int, default=1,
+_STAGE_OPTIONS = {
+    "--jobs": dict(type=_positive_int, default=1,
                    help="parallel workers for per-file parsing, per-tree pruning "
-                        "and the per-tree pair pass (default 1)")
+                        "and the per-tree pair pass (default 1)"),
+    "--edge-threshold": dict(type=float, default=0.0,
+                             help="minimum quality for an edge (default 0.0)"),
+    "--rc-comparison": dict(choices=["prose", "caption"], default="prose",
+                            help="relative compactness comparison (default prose)"),
+}
 
 
-def _classifier_from(args) -> ApiClassifier:
-    if args.classifier:
-        return ApiClassifier.load(args.classifier)
-    return ApiClassifier.match_all()
+def _add_stage_args(p: argparse.ArgumentParser, *flags: str) -> None:
+    for flag in flags:
+        p.add_argument(flag, **_STAGE_OPTIONS[flag])
 
 
 def _weights_from(args) -> QualityWeights:
@@ -103,20 +108,6 @@ def _weights_from(args) -> QualityWeights:
 def _metric_config_from(args) -> MetricConfig:
     return MetricConfig(weight_formula=args.weight_formula,
                         distance_pair_cap=args.distance_pair_cap)
-
-
-def _load_pruned(args, mapper=map):
-    corpus = load_corpus(args.corpus, _classifier_from(args), mapper)
-    if corpus.is_empty():
-        return None
-    return prune_corpus(corpus, mapper)
-
-
-def _with_mapper(jobs: int, fn):
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return fn(pool.map)
-    return fn(map)
 
 
 def cmd_generate(args) -> int:
@@ -137,40 +128,21 @@ def cmd_generate(args) -> int:
 
 
 def cmd_prune(args) -> int:
-    def run(mapper) -> int:
-        corpus = load_corpus(args.corpus, _classifier_from(args), mapper)
-        if corpus.is_empty():
-            print("empty corpus: nothing to prune", file=sys.stderr)
-            return EXIT_EMPTY
-        pruned = prune_corpus(corpus, mapper)
-        write_corpus(pruned, args.out)
-        before = sum(t.node_count() for t in corpus.all_trees())
-        after = sum(t.node_count() for t in pruned.all_trees())
-        print(f"pruned {corpus.tree_count()} trees: {before} -> {after} nodes "
-              f"-> {args.out}")
-        return EXIT_OK
-
-    return _with_mapper(args.jobs, run)
-
-
-def _read_method_sets(path: str) -> list[list[MethodRef]]:
-    sets = []
-    for line_no, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(),
-                                  start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        methods = [MethodRef.from_qualified(part.strip())
-                   for part in line.split(",") if part.strip()]
-        if len(set(methods)) < 2:
-            raise ValueError(f"{path}:{line_no}: a method set needs >= 2 "
-                             "distinct methods")
-        sets.append(methods)
-    return sets
+    with worker_map(args.jobs) as mapper:
+        corpus, pruned = load_pruned(args.corpus, args.classifier, mapper)
+    if pruned is None:
+        print("empty corpus: nothing to prune", file=sys.stderr)
+        return EXIT_EMPTY
+    write_corpus(pruned, args.out)
+    before = sum(t.node_count() for t in corpus.all_trees())
+    after = sum(t.node_count() for t in pruned.all_trees())
+    print(f"pruned {corpus.tree_count()} trees: {before} -> {after} nodes "
+          f"-> {args.out}")
+    return EXIT_OK
 
 
 def cmd_metrics(args) -> int:
-    pruned = _load_pruned(args)
+    _, pruned = load_pruned(args.corpus, args.classifier)
     if pruned is None:
         print("empty corpus: no metrics to compute", file=sys.stderr)
         return EXIT_EMPTY
@@ -180,14 +152,15 @@ def cmd_metrics(args) -> int:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["set", "call_freq", "call_dist", "call_weight", "quality"])
-    for methods in _read_method_sets(args.sets):
-        writer.writerow([
-            ",".join(m.qualified for m in methods),
-            f"{engine.call_freq(methods):.12g}",
-            f"{engine.call_dist(methods):.12g}",
-            f"{engine.call_weight(methods):.12g}",
-            f"{engine.quality(methods, weights):.12g}",
-        ])
+    for line_no, raw in content_lines(args.sets):
+        methods = [MethodRef.from_qualified(part.strip())
+                   for part in raw.split(",") if part.strip()]
+        if len(set(methods)) < 2:
+            raise ValueError(f"{args.sets}:{line_no}: a method set needs >= 2 "
+                             "distinct methods")
+        means = engine.set_means(methods)
+        writer.writerow([",".join(m.qualified for m in methods),
+                         *(f"{x:.12g}" for x in (*means, weights.blend(*means)))])
     if args.out:
         Path(args.out).write_text(buffer.getvalue(), encoding="utf-8")
     else:
@@ -196,8 +169,8 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    def run(mapper) -> int:
-        pruned = _load_pruned(args, mapper)
+    with worker_map(args.jobs) as mapper:
+        _, pruned = load_pruned(args.corpus, args.classifier, mapper)
         if pruned is None:
             print("empty corpus: no graph to build", file=sys.stderr)
             return EXIT_EMPTY
@@ -205,15 +178,13 @@ def cmd_graph(args) -> int:
                              edge_threshold=args.edge_threshold,
                              metrics=_metric_config_from(args))
         graph = build_graph(pruned, config, mapper)
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_edge_list(graph, out_dir / "graph.tsv")
-        write_dot(graph, out_dir / "graph.dot")
-        print(f"graph: {len(graph)} vertices, {graph.edge_count()} edges "
-              f"-> {out_dir / 'graph.tsv'}")
-        return EXIT_OK
-
-    return _with_mapper(args.jobs, run)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_edge_list(graph, out_dir / "graph.tsv")
+    write_dot(graph, out_dir / "graph.dot")
+    print(f"graph: {len(graph)} vertices, {graph.edge_count()} edges "
+          f"-> {out_dir / 'graph.tsv'}")
+    return EXIT_OK
 
 
 def cmd_cluster(args) -> int:
@@ -285,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prune", help="strip application frames from a corpus")
     _add_corpus_args(p)
-    _add_jobs_arg(p)
+    _add_stage_args(p, "--jobs")
     p.add_argument("--out", required=True, help="pruned corpus directory")
     p.set_defaults(func=cmd_prune)
 
@@ -300,29 +271,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("graph", help="build the weighted method graph")
     _add_corpus_args(p)
     _add_metric_args(p)
-    _add_jobs_arg(p)
-    p.add_argument("--edge-threshold", type=float, default=0.0,
-                   help="minimum quality for an edge (default 0.0)")
+    _add_stage_args(p, "--jobs", "--edge-threshold")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_graph)
 
     p = sub.add_parser("cluster", help="cluster an edge-list graph")
     p.add_argument("--graph", required=True, help="edge list file (graph.tsv)")
-    p.add_argument("--rc-comparison", choices=["prose", "caption"],
-                   default="prose",
-                   help="relative compactness comparison (default prose)")
+    _add_stage_args(p, "--rc-comparison")
     p.add_argument("--out", default=None, help="clusters file (default stdout)")
     p.set_defaults(func=cmd_cluster)
 
     p = sub.add_parser("run", help="run the full pipeline")
     _add_corpus_args(p)
     _add_metric_args(p)
-    _add_jobs_arg(p)
-    p.add_argument("--edge-threshold", type=float, default=0.0,
-                   help="minimum quality for an edge (default 0.0)")
-    p.add_argument("--rc-comparison", choices=["prose", "caption"],
-                   default="prose",
-                   help="relative compactness comparison (default prose)")
+    _add_stage_args(p, "--jobs", "--edge-threshold", "--rc-comparison")
     p.add_argument("--out", required=True, help="report output directory")
     p.set_defaults(func=cmd_run)
 

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .clusterer import Cluster
-from .trace_model import MethodRef, TraceCorpus
+from .trace_model import MethodRef, TraceCorpus, content_lines
 
 
 @dataclass(frozen=True)
@@ -66,11 +66,7 @@ class RelatednessLabels:
     def load(cls, path: str | Path) -> "RelatednessLabels":
         """Read one related pair per line: ``a.b<TAB>c.d``; ``#`` comments."""
         pairs = []
-        for line_no, raw in enumerate(
-                Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
+        for line_no, raw in content_lines(path):
             parts = raw.split("\t")
             if len(parts) != 2:
                 raise ValueError(f"{path}:{line_no}: expected two tab-separated methods")

@@ -12,7 +12,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .metrics import CorpusMetrics, MetricConfig, QualityWeights
-from .trace_model import MethodRef, TraceCorpus
+from .trace_model import MethodRef, TraceCorpus, content_lines
 
 
 @dataclass(frozen=True)
@@ -156,16 +156,14 @@ def read_edge_list(path: str | Path) -> ApiGraph:
     """Read the edge-list format written by :func:`write_edge_list`.
 
     An edge may be listed more than once, in either direction, but only
-    with the same weight; a conflicting weight raises ``ValueError``.
+    with the same weight. A conflicting weight, a self-loop or a weight
+    that is not a number in [0, 1] raises ``ValueError`` naming the file
+    and line.
     """
     vertices: set[MethodRef] = set()
     edges: dict[tuple[MethodRef, MethodRef], float] = {}
     first_line: dict[tuple[MethodRef, MethodRef], int] = {}
-    for line_no, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(),
-                                  start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line_no, raw in content_lines(path):
         parts = raw.split("\t")
         if len(parts) == 1:
             vertices.add(MethodRef.from_qualified(parts[0].strip()))
@@ -174,7 +172,15 @@ def read_edge_list(path: str | Path) -> ApiGraph:
             raise ValueError(f"{path}:{line_no}: expected 'u<TAB>v<TAB>weight'")
         u = MethodRef.from_qualified(parts[0].strip())
         v = MethodRef.from_qualified(parts[1].strip())
-        w = float(parts[2])
+        try:
+            w = float(parts[2])
+        except ValueError:
+            raise ValueError(f"{path}:{line_no}: weight {parts[2]!r} is not a number"
+                             ) from None
+        if u == v:
+            raise ValueError(f"{path}:{line_no}: self-loop on {u}")
+        if not 0.0 <= w <= 1.0:
+            raise ValueError(f"{path}:{line_no}: edge weight must be in [0, 1], got {w}")
         vertices.update((u, v))
         key = (u, v) if u < v else (v, u)
         if key not in edges:

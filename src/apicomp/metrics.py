@@ -371,25 +371,27 @@ class CorpusMetrics:
 
     # -- set-level attributes ------------------------------------------------
 
+    def set_means(self, methods) -> tuple[float, float, float]:
+        """``call_freq``, ``call_dist`` and ``call_weight`` of a method set,
+        from one pass over its pairs in ``combinations`` order of the sorted
+        distinct members."""
+        rows = [self.pair_affinity(c, v)
+                for c, v in itertools.combinations(_check_set(methods), 2)]
+        return (sum((row.lfreq + row.gfreq) / 2.0 for row in rows) / len(rows),
+                sum(row.distance for row in rows) / len(rows),
+                sum(row.weight for row in rows) / len(rows))
+
     def call_freq(self, methods) -> float:
         """Mean of (local + global) / 2 over all unordered pairs."""
-        members = _check_set(methods)
-        pairs = list(itertools.combinations(members, 2))
-        total = sum((self.local_freq(c, v) + self.global_freq(c, v)) / 2.0
-                    for c, v in pairs)
-        return total / len(pairs)
+        return self.set_means(methods)[0]
 
     def call_dist(self, methods) -> float:
         """Mean pairwise distance over all unordered pairs."""
-        members = _check_set(methods)
-        pairs = list(itertools.combinations(members, 2))
-        return sum(self.distance(c, v) for c, v in pairs) / len(pairs)
+        return self.set_means(methods)[1]
 
     def call_weight(self, methods) -> float:
         """Mean pairwise weight over all unordered pairs."""
-        members = _check_set(methods)
-        pairs = list(itertools.combinations(members, 2))
-        return sum(self.weight(c, v) for c, v in pairs) / len(pairs)
+        return self.set_means(methods)[2]
 
     def quality(self, methods, weights: QualityWeights | None = None) -> float:
         """Normalized lambda blend of the three set-level attributes."""

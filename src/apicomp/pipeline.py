@@ -1,15 +1,20 @@
 """End-to-end orchestration: parse, classify, prune, score, cluster, report.
 
-Per-file parsing, per-tree pruning and the per-tree pair pass run through
-a mapper that may be a thread pool; their outputs are merged in input
-order, so the report bytes do not depend on the parallelism degree.
+The front of the chain, corpus to pruned corpus, is ``load_pruned``, which
+every subcommand that reads a corpus calls. ``worker_map`` is the one place
+a thread pool is created: per-file parsing, per-tree pruning and the
+per-tree pair pass run through the mapper it yields, and their outputs are
+merged in input order, so the report bytes do not depend on the
+parallelism degree.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, Iterable, Iterator
 
 from .clusterer import ClusterConfig, cluster
 from .components import assemble
@@ -17,7 +22,7 @@ from .graph_builder import GraphConfig, build_graph
 from .metrics import MetricConfig, QualityWeights
 from .pruner import prune_corpus
 from .report import build_report, write_report
-from .trace_model import ApiClassifier, load_corpus
+from .trace_model import ApiClassifier, TraceCorpus, load_corpus
 
 
 @dataclass
@@ -48,33 +53,48 @@ class RunConfig:
         }
 
 
+@contextmanager
+def worker_map(jobs: int) -> Iterator[Callable[..., Iterable]]:
+    """The ``map`` of a thread pool of ``jobs`` workers that lives as long
+    as the ``with`` block, or the builtin ``map`` for a single job."""
+    if jobs > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            yield pool.map
+    else:
+        yield map
+
+
+def load_pruned(corpus_dir: str | Path, classifier_path: str | Path | None,
+                mapper: Callable[..., Iterable] = map
+                ) -> tuple[TraceCorpus, TraceCorpus | None]:
+    """Load and classify a corpus, then prune it: ``(corpus, pruned)``, with
+    ``pruned`` None for an empty corpus. Without a classifier file every
+    method is API."""
+    classifier = (ApiClassifier.load(classifier_path) if classifier_path
+                  else ApiClassifier.match_all())
+    corpus = load_corpus(corpus_dir, classifier, mapper)
+    if corpus.is_empty():
+        return corpus, None
+    return corpus, prune_corpus(corpus, mapper)
+
+
 def run_pipeline(config: RunConfig) -> dict:
     """Run all stages and write the report; returns the report dict.
 
     An empty corpus yields a minimal report with ``corpus.empty`` set, so
     callers can exit distinctly without treating it as a failure.
     """
-    classifier = (ApiClassifier.load(config.classifier_path)
-                  if config.classifier_path else ApiClassifier.match_all())
     graph_config = GraphConfig(weights=config.weights,
                                edge_threshold=config.edge_threshold,
                                metrics=config.metric_config)
-
-    def stages(mapper) -> dict:
-        corpus = load_corpus(config.corpus_dir, classifier, mapper)
-        if corpus.is_empty():
-            return build_report(config.config_echo(), corpus, None, None, [])
-        pruned = prune_corpus(corpus, mapper)
-        graph = build_graph(pruned, graph_config, mapper)
-        clusters = cluster(graph, config.cluster_config)
-        components = assemble(clusters, pruned)
-        return build_report(config.config_echo(), corpus, pruned, graph, components)
-
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            report = stages(pool.map)
-    else:
-        report = stages(map)
-
+    with worker_map(config.jobs) as mapper:
+        corpus, pruned = load_pruned(config.corpus_dir, config.classifier_path, mapper)
+        if pruned is None:
+            report = build_report(config.config_echo(), corpus, None, None, [])
+        else:
+            graph = build_graph(pruned, graph_config, mapper)
+            components = assemble(cluster(graph, config.cluster_config), pruned)
+            report = build_report(config.config_echo(), corpus, pruned, graph,
+                                  components)
     write_report(report, config.out_dir)
     return report

@@ -194,13 +194,22 @@ class ApiClassifier:
 
     @classmethod
     def load(cls, path: str | Path) -> "ApiClassifier":
-        prefixes = []
-        for raw in Path(path).read_text(encoding="utf-8").splitlines():
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            prefixes.append(line)
-        return cls(tuple(prefixes))
+        return cls(tuple(raw.strip() for _, raw in content_lines(path)))
+
+
+def content_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """The numbered lines of a UTF-8 text file that are neither blank nor
+    ``#`` comments, as ``(line_no, raw)`` with ``raw`` unstripped; a file
+    that is not UTF-8 raises ``ValueError`` naming it."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+                         ) from None
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield line_no, raw
 
 
 @dataclass(frozen=True)

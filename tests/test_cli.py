@@ -61,6 +61,25 @@ class TestExitCodes:
         assert code == 2
         assert "latin1.trace" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--classifier", "--sets", "--graph", "--labels"])
+    def test_non_utf8_input_file_is_usage_error_naming_it(self, worked_corpus_dir,
+                                                          tmp_path, capsys, flag):
+        corpus = str(worked_corpus_dir)
+        report = tmp_path / "report" / "report.json"
+        assert run_cli("run", "--corpus", corpus, "--out", str(report.parent)) == 0
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes(b"lib.Ops.caf\xe9\n")
+        argv = {
+            "--classifier": ["run", "--corpus", corpus, "--classifier", str(bad),
+                             "--out", str(tmp_path / "out")],
+            "--sets": ["metrics", "--corpus", corpus, "--sets", str(bad)],
+            "--graph": ["cluster", "--graph", str(bad)],
+            "--labels": ["evaluate", "--report", str(report), "--labels", str(bad)],
+        }[flag]
+        capsys.readouterr()
+        assert run_cli(*argv) == 1
+        assert "latin1.txt" in capsys.readouterr().err
+
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_jobs_below_one_is_usage_error(self, fig_corpus, tmp_path, capsys, jobs):
         corpus, _ = fig_corpus

@@ -1,11 +1,12 @@
-"""Exact bytes of ``apicomp graph``, ``cluster`` and ``run`` on small
-generated corpora.
+"""Exact bytes of ``apicomp graph``, ``cluster``, ``run``, ``prune`` and
+``metrics`` on small generated corpora.
 
 The oracle tests compare scores to within 1e-12, so a change in the order
 or form of a float reduction would pass them while still moving the last
-bit of an edge weight. These sha256s pin ``graph.tsv``, the cluster text
-and ``report.json`` exactly. They were recorded with CPython 3.11; ``sum()``
-of floats is compensated from 3.12 on, which may move a last bit there.
+bit of an edge weight. These sha256s pin ``graph.tsv``, the cluster text,
+``report.json``, the pruned traces and the metrics CSV exactly. They were
+recorded with CPython 3.11; ``sum()`` of floats is compensated from 3.12
+on, which may move a last bit there.
 """
 
 import hashlib
@@ -69,3 +70,41 @@ def test_run_report_bytes(tmp_path, monkeypatch):
                  "corpus/classifier.txt", "--out", "out"]) == 0
     digest = hashlib.sha256((tmp_path / "out" / "report.json").read_bytes()).hexdigest()
     assert digest == "9290b19f5c17bceae09536661108690ea5608bc7b5c0d351a0357faf2ccfd576"
+
+
+def test_prune_bytes(corpus_dir, tmp_path):
+    out = tmp_path / "pruned"
+    assert main(["prune", "--corpus", str(corpus_dir), "--classifier",
+                 str(corpus_dir / "classifier.txt"), "--out", str(out)]) == 0
+    # The pruned trace files, concatenated in sorted path order.
+    text = b"".join(p.read_bytes() for p in sorted(out.rglob("*.trace")))
+    assert hashlib.sha256(text).hexdigest() == "33210709d52b90466e01340f44ac5f0529fee64242417c30dd64161305996aea"
+
+
+# Sets of four and five methods, given out of name order and with a repeat;
+# a pair that shares no tree; a method the corpus does not contain.
+METHOD_SETS = """\
+# golden method sets
+plant0.C1.m3,plant0.C0.m0,plant0.C0.m2,plant0.C0.m1
+noise.Helpers.h0,noise.Helpers.h1
+
+plant1.C0.m0, plant1.C0.m1 ,plant1.C0.m2,plant1.C1.m3,noise.Helpers.h3,plant1.C0.m0
+plant2.C0.m1,plant2.C0.m0
+plant2.C0.m0,absent.Api.call,noise.Helpers.h2
+"""
+
+
+@pytest.mark.parametrize("flags, digest", [
+    ([], "6c8e598bc601f03725e86127334d9696fb15da97c0483b8fdd18644f6714a092"),
+    (["--weight-formula", "literal", "--lambda-freq", "0.25", "--lambda-dist", "0.5",
+      "--distance-pair-cap", "3"],
+     "b660958439c4a1cff759568a4e93e66b573230510055f88dd567c0c73a295bdd"),
+], ids=["default", "literal-lambdas-cap-3"])
+def test_metrics_csv_bytes(corpus_dir, tmp_path, flags, digest):
+    sets = tmp_path / "sets.txt"
+    sets.write_text(METHOD_SETS, encoding="utf-8")
+    out = tmp_path / "metrics.csv"
+    assert main(["metrics", "--corpus", str(corpus_dir), "--classifier",
+                 str(corpus_dir / "classifier.txt"), *flags, "--sets", str(sets),
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -184,6 +184,25 @@ class TestGraphFiles:
         with pytest.raises(ValueError, match=r":4: .* on line 1"):
             read_edge_list(path)
 
+    def test_read_locates_self_loop(self, tmp_path):
+        path = tmp_path / "graph.tsv"
+        path.write_text("# edges\na.B.c\ta.B.c\t0.5\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"graph\.tsv:2: self-loop on a\.B\.c"):
+            read_edge_list(path)
+
+    @pytest.mark.parametrize("weight", ["1.5", "-0.25", "nan"])
+    def test_read_locates_weight_outside_unit_interval(self, tmp_path, weight):
+        path = tmp_path / "graph.tsv"
+        path.write_text(f"c.C.c\na.A.a\tb.B.b\t{weight}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"graph\.tsv:2: edge weight must be in \[0, 1\]"):
+            read_edge_list(path)
+
+    def test_read_locates_weight_that_is_not_a_number(self, tmp_path):
+        path = tmp_path / "graph.tsv"
+        path.write_text("a.A.a\tb.B.b\theavy\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"graph\.tsv:1: .*'heavy'"):
+            read_edge_list(path)
+
     def test_read_accepts_repeated_identical_edge(self, tmp_path):
         path = tmp_path / "graph.tsv"
         path.write_text("a.A.a\tb.B.b\t0.5\nb.B.b\ta.A.a\t0.5\n", encoding="utf-8")
