@@ -36,7 +36,7 @@ from .metrics import CorpusMetrics, MetricConfig, QualityWeights
 from .pipeline import RunConfig, load_pruned, run_pipeline, worker_map
 from .report import build_evaluation, render_evaluation_text, write_evaluation
 from .synth import PlantSpec, write_generated
-from .trace_model import MethodRef, TraceParseError, content_lines, write_corpus
+from .trace_model import TraceParseError, content_lines, method_at, write_corpus
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -70,9 +70,6 @@ def _add_metric_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--weight-formula", choices=["example", "literal"],
                    default="example",
                    help="pair weight aggregation (default example)")
-    p.add_argument("--distance-pair-cap", type=int, default=10_000,
-                   help="occurrence pairs per pair and tree measured exactly; "
-                        "above it, this many are sampled (default 10000)")
 
 
 def _positive_int(text: str) -> int:
@@ -106,8 +103,7 @@ def _weights_from(args) -> QualityWeights:
 
 
 def _metric_config_from(args) -> MetricConfig:
-    return MetricConfig(weight_formula=args.weight_formula,
-                        distance_pair_cap=args.distance_pair_cap)
+    return MetricConfig(weight_formula=args.weight_formula)
 
 
 def cmd_generate(args) -> int:
@@ -153,7 +149,7 @@ def cmd_metrics(args) -> int:
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["set", "call_freq", "call_dist", "call_weight", "quality"])
     for line_no, raw in content_lines(args.sets):
-        methods = [MethodRef.from_qualified(part.strip())
+        methods = [method_at(args.sets, line_no, part)
                    for part in raw.split(",") if part.strip()]
         if len(set(methods)) < 2:
             raise ValueError(f"{args.sets}:{line_no}: a method set needs >= 2 "

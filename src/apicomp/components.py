@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .clusterer import Cluster
-from .trace_model import MethodRef, TraceCorpus, content_lines
+from .trace_model import MethodRef, TraceCorpus, content_lines, method_at
 
 
 @dataclass(frozen=True)
@@ -70,8 +70,8 @@ class RelatednessLabels:
             parts = raw.split("\t")
             if len(parts) != 2:
                 raise ValueError(f"{path}:{line_no}: expected two tab-separated methods")
-            pairs.append((MethodRef.from_qualified(parts[0].strip()),
-                          MethodRef.from_qualified(parts[1].strip())))
+            pairs.append((method_at(path, line_no, parts[0]),
+                          method_at(path, line_no, parts[1])))
         return cls.from_pairs(pairs)
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .metrics import CorpusMetrics, MetricConfig, QualityWeights
-from .trace_model import MethodRef, TraceCorpus, content_lines
+from .trace_model import MethodRef, TraceCorpus, content_lines, method_at
 
 
 @dataclass(frozen=True)
@@ -166,12 +166,12 @@ def read_edge_list(path: str | Path) -> ApiGraph:
     for line_no, raw in content_lines(path):
         parts = raw.split("\t")
         if len(parts) == 1:
-            vertices.add(MethodRef.from_qualified(parts[0].strip()))
+            vertices.add(method_at(path, line_no, parts[0]))
             continue
         if len(parts) != 3:
             raise ValueError(f"{path}:{line_no}: expected 'u<TAB>v<TAB>weight'")
-        u = MethodRef.from_qualified(parts[0].strip())
-        v = MethodRef.from_qualified(parts[1].strip())
+        u = method_at(path, line_no, parts[0])
+        v = method_at(path, line_no, parts[1])
         try:
             w = float(parts[2])
         except ValueError:

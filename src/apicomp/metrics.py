@@ -25,9 +25,8 @@ from __future__ import annotations
 import itertools
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, ClassVar, Iterable
 
-from .rng import SplitMix64, derive_seed
 from .trace_model import CallNode, CallTree, MethodRef, TraceCorpus
 
 WEIGHT_FORMULAS = ("example", "literal")
@@ -66,21 +65,18 @@ class MetricConfig:
         "example" (default) averages a pair's per-tree weight over the trees
         where the pair co-occurs; "literal" sums it over all trees and
         divides by the number of applications, which can exceed 1.
-    distance_pair_cap:
-        Up to this many occurrence pairs per (pair, tree), the mean path
-        length is exact, summed from subtree counts; beyond it, a
-        deterministic uniform subsample of exactly this many pairs is
-        measured, each through its lowest common ancestor.
+
+    Call distances have no switch: every mean path length is exact, over
+    all occurrence pairs.
     """
 
     weight_formula: str = "example"
-    distance_pair_cap: int = 10_000
+    # Read only by perfbench's capped_share; ROADMAP item 2 removes it.
+    distance_pair_cap: ClassVar[int] = 10_000
 
     def __post_init__(self) -> None:
         if self.weight_formula not in WEIGHT_FORMULAS:
             raise ValueError(f"weight_formula must be one of {WEIGHT_FORMULAS}")
-        if self.distance_pair_cap < 1:
-            raise ValueError("distance_pair_cap must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -107,31 +103,24 @@ def _check_set(methods) -> list[MethodRef]:
 
 class _TreeIndex:
     """Flat arrays over one tree, numbered in pre-order: parents, depths and
-    method occurrences. Methods are the ints ``ids`` assigns them, positions
-    in ``names``, which is sorted, so int order is name order.
+    method occurrences. Methods are the ints ``ids`` assigns them, in name
+    order.
 
     The connector root, when present, is indexed like any node so paths
     between subtrees step through it, but it is never an occurrence and
     its edges do not count as invocations.
 
-    Path lengths are never walked pair by pair. Up to the cap, the exact
-    total over all occurrence pairs comes from subtree counts (see
-    ``_distance_sums``). Above it, each sampled pair is measured as
-    ``depth[i] + depth[j] - 2 * depth[lca]``, the LCA found on a heavy-path
-    decomposition built on first use. The sums take O(nodes) per method and
-    the decomposition O(nodes) per tree; both give the integer total a walk
-    over the same pairs would, so the mean is the same float.
+    Path lengths are never walked pair by pair: the exact total over all
+    occurrence pairs of two methods comes from subtree counts (see
+    ``_distance_sums``), in O(nodes) per method and tree however many
+    occurrence pairs there are. It is the integer total a walk over every
+    pair would give, so the mean is the same float.
     """
 
-    __slots__ = ("app_id", "scenario_id", "names", "methods", "occurrences",
-                 "parent", "depth", "tree_depth", "edge_total", "direct_pairs",
-                 "_sums_method", "_sums", "_head")
+    __slots__ = ("methods", "occurrences", "parent", "depth", "tree_depth",
+                 "edge_total", "direct_pairs", "_sums_method", "_sums")
 
-    def __init__(self, tree: CallTree, names: Sequence[MethodRef],
-                 ids: dict[MethodRef, int]) -> None:
-        self.app_id = tree.app_id
-        self.scenario_id = tree.scenario_id
-        self.names = names
+    def __init__(self, tree: CallTree, ids: dict[MethodRef, int]) -> None:
         self.parent: list[int] = []
         self.depth: list[int] = []
         self.occurrences: dict[int, list[int]] = {}
@@ -139,7 +128,6 @@ class _TreeIndex:
         self.edge_total = 0
         self._sums_method = -1
         self._sums: list[int] = []
-        self._head: list[int] | None = None
 
         labels: list[int] = []  # -1 for the connector root
         stack: list[tuple[CallNode, int, int]] = [(tree.root, -1, 0)]
@@ -191,66 +179,27 @@ class _TreeIndex:
             self._sums_method, self._sums = c, sums
         return self._sums
 
-    def _lca(self, i: int, j: int) -> int:
-        """Lowest common ancestor by heavy-path decomposition: climb whole
-        chains, O(log nodes) of them, until i and j share one."""
-        parent, depth = self.parent, self.depth
-        if self._head is None:
-            size = [1] * len(parent)
-            for y in range(len(parent) - 1, 0, -1):
-                size[parent[y]] += size[y]
-            heavy = [0] * len(parent)  # 0: no child, as the root is no child
-            for y in range(1, len(parent)):
-                p = parent[y]
-                if not heavy[p] or size[y] > size[heavy[p]]:
-                    heavy[p] = y
-            head = list(range(len(parent)))
-            for y in range(1, len(parent)):
-                if heavy[parent[y]] == y:
-                    head[y] = head[parent[y]]
-            self._head = head
-        head = self._head
-        while head[i] != head[j]:
-            if depth[head[i]] > depth[head[j]]:
-                i = parent[head[i]]
-            else:
-                j = parent[head[j]]
-        return i if depth[i] < depth[j] else j
+    def average_path_length(self, c: int, v: int) -> float:
+        """Mean path length (in edges) over all occurrence pairs of c and v.
 
-    def average_path_length(self, c: int, v: int, cap: int) -> float:
-        """Mean path length (in edges) over occurrence pairs of c and v.
-
-        Exact up to ``cap`` occurrence pairs; above it, the mean over a
-        deterministic uniform subsample of exactly ``cap`` pairs. Falls
-        back to twice the tree depth when either method is absent, which
-        drives the distance score to zero.
+        Falls back to twice the tree depth when either method is absent,
+        which drives the distance score to zero.
         """
         if not self.co_occur(c, v):
             return 2.0 * self.tree_depth
         if v < c:
             c, v = v, c
-        occ_c = self.occurrences[c]
         occ_v = self.occurrences[v]
-        total_pairs = len(occ_c) * len(occ_v)
-        if total_pairs <= cap:
-            sums = self._distance_sums(c)
-            return sum(sums[j] for j in occ_v) / total_pairs
-        rng = SplitMix64(derive_seed(self.app_id, self.scenario_id,
-                                     self.names[c].qualified, self.names[v].qualified))
-        depth = self.depth
-        total = 0
-        for k in rng.sample_indices(total_pairs, cap):
-            i, j = occ_c[k // len(occ_v)], occ_v[k % len(occ_v)]
-            total += depth[i] + depth[j] - 2 * depth[self._lca(i, j)]
-        return total / cap
+        sums = self._distance_sums(c)
+        return sum(sums[j] for j in occ_v) / (len(self.occurrences[c]) * len(occ_v))
 
-    def distance_score(self, c: int, v: int, cap: int) -> float:
+    def distance_score(self, c: int, v: int) -> float:
         """1 - avg path / (2 * depth), clamped to [0, 1]; 0 when absent."""
         if self.tree_depth == 0:
             return 0.0
         if not self.co_occur(c, v):
             return 0.0
-        score = 1.0 - self.average_path_length(c, v, cap) / (2.0 * self.tree_depth)
+        score = 1.0 - self.average_path_length(c, v) / (2.0 * self.tree_depth)
         return min(1.0, max(0.0, score))
 
     def weight_share(self, c: int, v: int) -> float:
@@ -258,12 +207,12 @@ class _TreeIndex:
         count = self.direct_pairs.get((c, v) if c < v else (v, c))
         return count / self.edge_total if count else 0.0
 
-    def scored_pairs(self, cap: int) -> tuple[list[int], list[float], list[float]]:
+    def scored_pairs(self) -> tuple[list[int], list[float], list[float]]:
         """The tree's methods, sorted, and the distance scores and weight
         shares of their pairs in ``combinations`` order."""
         methods = sorted(self.methods)
         return (methods,
-                [self.distance_score(c, v, cap)
+                [self.distance_score(c, v)
                  for c, v in itertools.combinations(methods, 2)],
                 [self.weight_share(c, v) for c, v in itertools.combinations(methods, 2)])
 
@@ -275,7 +224,7 @@ def _index_pair(c: MethodRef, v: MethodRef,
     _check_pair(c, v)
     names = sorted({n.method for n in tree.method_nodes()} | {c, v})
     ids = {name: i for i, name in enumerate(names)}
-    return _TreeIndex(tree, names, ids), ids[c], ids[v]
+    return _TreeIndex(tree, ids), ids[c], ids[v]
 
 
 class CorpusMetrics:
@@ -301,14 +250,13 @@ class CorpusMetrics:
         if corpus.is_empty():
             raise ValueError("cannot evaluate metrics over an empty corpus")
         self.config = config or MetricConfig()
-        cap = self.config.distance_pair_cap
         apps = len(corpus.trees)
         self.names: list[MethodRef] = sorted({node.method for tree in corpus.all_trees()
                                               for node in tree.method_nodes()})
         self.ids: dict[MethodRef, int] = {m: i for i, m in enumerate(self.names)}
 
         def score_tree(tree: CallTree) -> tuple[list[int], list[float], list[float]]:
-            return _TreeIndex(tree, self.names, self.ids).scored_pairs(cap)
+            return _TreeIndex(tree, self.ids).scored_pairs()
 
         scored = iter(mapper(score_tree, list(corpus.all_trees())))
         # Per pair: [local total, distance total, apps containing it, trees
@@ -407,18 +355,16 @@ def co_occur(c: MethodRef, v: MethodRef, tree: CallTree) -> int:
     return ix.co_occur(ic, iv)
 
 
-def average_path_length(c: MethodRef, v: MethodRef, tree: CallTree,
-                        config: MetricConfig | None = None) -> float:
+def average_path_length(c: MethodRef, v: MethodRef, tree: CallTree) -> float:
     """Mean tree path length in edges over all occurrence pairs of c and v."""
     ix, ic, iv = _index_pair(c, v, tree)
-    return ix.average_path_length(ic, iv, (config or MetricConfig()).distance_pair_cap)
+    return ix.average_path_length(ic, iv)
 
 
-def pair_distance(c: MethodRef, v: MethodRef, tree: CallTree,
-                  config: MetricConfig | None = None) -> float:
+def pair_distance(c: MethodRef, v: MethodRef, tree: CallTree) -> float:
     """Depth-normalized closeness of the pair in one tree, in [0, 1]."""
     ix, ic, iv = _index_pair(c, v, tree)
-    return ix.distance_score(ic, iv, (config or MetricConfig()).distance_pair_cap)
+    return ix.distance_score(ic, iv)
 
 
 def pair_weight(c: MethodRef, v: MethodRef, tree: CallTree) -> float:

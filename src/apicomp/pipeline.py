@@ -37,9 +37,10 @@ class RunConfig:
     jobs: int = 1
 
     def config_echo(self) -> dict:
-        """Analysis configuration recorded in the report. Invocation details
-        (output directory, job count) do not influence results and are
-        deliberately left out to keep reruns byte-identical."""
+        """Analysis configuration recorded in the report: every switch that
+        can change a result. Call distances have none, being always exact.
+        Invocation details (output directory, job count) do not influence
+        results and are deliberately left out to keep reruns byte-identical."""
         return {
             "corpus": str(self.corpus_dir),
             "classifier": str(self.classifier_path) if self.classifier_path else None,
@@ -49,7 +50,6 @@ class RunConfig:
             "edge_threshold": self.edge_threshold,
             "weight_formula": self.metric_config.weight_formula,
             "rc_comparison": self.cluster_config.rc_comparison,
-            "distance_pair_cap": self.metric_config.distance_pair_cap,
         }
 
 

@@ -1,7 +1,7 @@
 """Build and render run reports.
 
 A run produces a machine-readable ``report.json`` and a human-readable
-``report.txt``. The JSON layout (schema ``apicomp-report/1``) is documented
+``report.txt``. The JSON layout (schema ``apicomp-report/2``) is documented
 in the README; evaluation against relatedness labels adds a separate
 ``evaluation.json``/``evaluation.txt`` pair (schema ``apicomp-evaluation/1``).
 Reports carry no timestamps: identical inputs and configuration must
@@ -17,7 +17,9 @@ from .components import Component, RelatednessLabels, component_stats, precision
 from .graph_builder import ApiGraph
 from .trace_model import MethodRef, TraceCorpus, tree_stats
 
-REPORT_SCHEMA = "apicomp-report/1"
+REPORT_SCHEMA = "apicomp-report/2"
+# Report schemas evaluation reads: their components have the same layout.
+EVALUABLE_SCHEMAS = ("apicomp-report/1", REPORT_SCHEMA)
 EVALUATION_SCHEMA = "apicomp-evaluation/1"
 
 
@@ -191,11 +193,12 @@ def write_report(report: dict, out_dir: str | Path) -> None:
 
 
 def _check_report(report) -> None:
-    """Raise ValueError unless ``report`` is an ``apicomp-report/1`` whose
-    components carry what evaluation reads."""
+    """Raise ValueError unless ``report`` has one of the
+    ``EVALUABLE_SCHEMAS`` and components that carry what evaluation reads."""
     schema = report.get("schema") if isinstance(report, dict) else None
-    if schema != REPORT_SCHEMA:
-        raise ValueError(f"not an {REPORT_SCHEMA} report (schema {schema!r})")
+    if schema not in EVALUABLE_SCHEMAS:
+        raise ValueError(f"not an {' or '.join(EVALUABLE_SCHEMAS)} report "
+                         f"(schema {schema!r})")
     components = report.get("components")
     if not isinstance(components, list):
         raise ValueError("report has no 'components' list")
@@ -210,7 +213,7 @@ def _check_report(report) -> None:
 
 def build_evaluation(report: dict, labels: RelatednessLabels) -> dict:
     """Score every reported component against the relatedness labels;
-    raises ValueError on anything but an ``apicomp-report/1`` report."""
+    raises ValueError on anything but an evaluable report."""
     _check_report(report)
     rows = []
     total = 0.0

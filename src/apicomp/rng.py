@@ -1,13 +1,11 @@
 """Deterministic 64-bit pseudo-random stream (splitmix64).
 
 Pinned to a published algorithm instead of the stdlib generator so that
-synthetic corpora and subsamples reproduce bit-for-bit on any platform or
-runtime, given the same 64-bit seed.
+synthetic corpora reproduce bit-for-bit on any platform or runtime, given
+the same 64-bit seed.
 """
 
 from __future__ import annotations
-
-import hashlib
 
 _MASK64 = (1 << 64) - 1
 
@@ -51,21 +49,3 @@ class SplitMix64:
         for i in range(len(items) - 1, 0, -1):
             j = self.below(i + 1)
             items[i], items[j] = items[j], items[i]
-
-    def sample_indices(self, n: int, k: int) -> list[int]:
-        """k distinct indices from range(n), via partial Fisher-Yates."""
-        if k > n:
-            raise ValueError("sample larger than population")
-        swapped: dict[int, int] = {}
-        out = []
-        for i in range(k):
-            j = self.randint(i, n - 1)
-            out.append(swapped.get(j, j))
-            swapped[j] = swapped.get(i, i)
-        return out
-
-
-def derive_seed(*parts: str) -> int:
-    """Stable 64-bit seed from text parts (blake2b, not Python's hash())."""
-    digest = hashlib.blake2b("\x1f".join(parts).encode("utf-8"), digest_size=8)
-    return int.from_bytes(digest.digest(), "big")

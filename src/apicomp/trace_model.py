@@ -212,6 +212,15 @@ def content_lines(path: str | Path) -> Iterator[tuple[int, str]]:
             yield line_no, raw
 
 
+def method_at(path: str | Path, line_no: int, name: str) -> MethodRef:
+    """``MethodRef.from_qualified`` of a name a reader found, stripped: one
+    that is not qualified raises ``ValueError`` naming ``path:line``."""
+    try:
+        return MethodRef.from_qualified(name.strip())
+    except ValueError as exc:
+        raise ValueError(f"{path}:{line_no}: {exc}") from None
+
+
 @dataclass(frozen=True)
 class TraceStats:
     """Per-tree summary: size, distinct API methods, height, repetitions."""

@@ -80,6 +80,14 @@ class TestExitCodes:
         assert run_cli(*argv) == 1
         assert "latin1.txt" in capsys.readouterr().err
 
+    def test_distance_pair_cap_flag_is_gone(self, fig_corpus, tmp_path, capsys):
+        corpus, _ = fig_corpus
+        out = tmp_path / "out"
+        assert run_cli("run", "--corpus", str(corpus), "--distance-pair-cap", "5",
+                       "--out", str(out)) == 1
+        assert "--distance-pair-cap" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_jobs_below_one_is_usage_error(self, fig_corpus, tmp_path, capsys, jobs):
         corpus, _ = fig_corpus
@@ -200,6 +208,15 @@ class TestMetricsCommand:
         assert float(de["call_dist"]) == pytest.approx(4 / 9, abs=1e-9)
         assert float(de["quality"]) == pytest.approx(169 / 270, abs=1e-9)
 
+    def test_bare_method_name_is_located(self, worked_corpus_dir, tmp_path, capsys):
+        sets_file = tmp_path / "sets.txt"
+        sets_file.write_text("lib.Ops.D,lib.Ops.E\n# next\nlib.Ops.A,nodot\n",
+                             encoding="utf-8")
+        assert run_cli("metrics", "--corpus", str(worked_corpus_dir),
+                       "--sets", str(sets_file)) == 1
+        assert capsys.readouterr().err == (
+            f"apicomp: error: {sets_file}:3: not a qualified method name: 'nodot'\n")
+
     def test_singleton_set_is_config_error(self, worked_corpus_dir, tmp_path):
         sets_file = tmp_path / "sets.txt"
         sets_file.write_text("lib.Ops.D\n", encoding="utf-8")
@@ -250,6 +267,20 @@ class TestEvaluate:
                        "--labels", str(labels_file)) == 1
         assert capsys.readouterr().err.startswith("apicomp: error: ")
         assert not (tmp_path / "evaluation.json").exists()
+
+    def test_schema_1_report_still_evaluates(self, tmp_path):
+        report_file = tmp_path / "report.json"
+        report_file.write_text(json.dumps({
+            "schema": "apicomp-report/1",
+            "components": [{"id": 0, "center": "lib.Ops.A",
+                            "provided_interface": ["lib.Ops.A", "lib.Ops.B"]}],
+        }), encoding="utf-8")
+        labels_file = tmp_path / "labels.txt"
+        labels_file.write_text("lib.Ops.A\tlib.Ops.B\n", encoding="utf-8")
+        assert run_cli("evaluate", "--report", str(report_file),
+                       "--labels", str(labels_file)) == 0
+        evaluation = json.loads((tmp_path / "evaluation.json").read_text())
+        assert evaluation["mean_precision"] == 1.0
 
 
 class TestGenerateCommand:

@@ -132,6 +132,13 @@ class TestLabels:
         assert labels.related(m("a.C.z"), m("a.C.y"))
         assert not labels.related(m("a.C.x"), m("a.C.z"))
 
+    def test_load_locates_bare_method_name(self, tmp_path):
+        path = tmp_path / "labels.txt"
+        path.write_text("# pairs\na.C.x\tabc\n", encoding="utf-8")
+        with pytest.raises(ValueError,
+                           match=r"labels\.txt:2: not a qualified method name: 'abc'"):
+            RelatednessLabels.load(path)
+
     def test_load_rejects_malformed_lines(self, tmp_path):
         path = tmp_path / "labels.txt"
         path.write_text("a.C.x a.C.y\n", encoding="utf-8")

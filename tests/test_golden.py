@@ -29,11 +29,9 @@ def corpus_dir(tmp_path_factory):
 
 @pytest.mark.parametrize("flags, digest", [
     ([], "4fa650157e0bd4792c652d103e5a57f5908ca1b616158af9583afc25c7e8d14e"),
-    (["--distance-pair-cap", "3"],
-     "9a107056ded45c9078670412672f0c3634c6bfdf7b9d2060c3d57ed7aaef05c5"),
     (["--weight-formula", "literal"],
      "affa86f438cd2542dfb2213d97cceace10c363de1772d3bcd4a7271a5ebcb304"),
-], ids=["default", "distance-pair-cap-3", "literal-weight"])
+], ids=["default", "literal-weight"])
 def test_graph_tsv_bytes(corpus_dir, tmp_path, flags, digest):
     out = tmp_path / "graph"
     assert main(["graph", "--corpus", str(corpus_dir), "--classifier",
@@ -69,7 +67,7 @@ def test_run_report_bytes(tmp_path, monkeypatch):
     assert main(["run", "--corpus", "corpus", "--classifier",
                  "corpus/classifier.txt", "--out", "out"]) == 0
     digest = hashlib.sha256((tmp_path / "out" / "report.json").read_bytes()).hexdigest()
-    assert digest == "9290b19f5c17bceae09536661108690ea5608bc7b5c0d351a0357faf2ccfd576"
+    assert digest == "f177303a51236697754bee93bd80915e373593d7e9d4a55dd55f02b0ce4b351b"
 
 
 def test_prune_bytes(corpus_dir, tmp_path):
@@ -96,10 +94,9 @@ plant2.C0.m0,absent.Api.call,noise.Helpers.h2
 
 @pytest.mark.parametrize("flags, digest", [
     ([], "6c8e598bc601f03725e86127334d9696fb15da97c0483b8fdd18644f6714a092"),
-    (["--weight-formula", "literal", "--lambda-freq", "0.25", "--lambda-dist", "0.5",
-      "--distance-pair-cap", "3"],
-     "b660958439c4a1cff759568a4e93e66b573230510055f88dd567c0c73a295bdd"),
-], ids=["default", "literal-lambdas-cap-3"])
+    (["--weight-formula", "literal", "--lambda-freq", "0.25", "--lambda-dist", "0.5"],
+     "97205b35e20c5e3e241b9fa834416335318e7e28e4da4a2933304d377e754fa0"),
+], ids=["default", "literal-lambdas"])
 def test_metrics_csv_bytes(corpus_dir, tmp_path, flags, digest):
     sets = tmp_path / "sets.txt"
     sets.write_text(METHOD_SETS, encoding="utf-8")

@@ -203,6 +203,13 @@ class TestGraphFiles:
         with pytest.raises(ValueError, match=r"graph\.tsv:1: .*'heavy'"):
             read_edge_list(path)
 
+    def test_read_locates_bare_method_name(self, tmp_path):
+        path = tmp_path / "graph.tsv"
+        path.write_text("a.A.a\tb.B.b\t0.5\nabc\tb.B.b\t0.5\n", encoding="utf-8")
+        with pytest.raises(ValueError,
+                           match=r"graph\.tsv:2: not a qualified method name: 'abc'"):
+            read_edge_list(path)
+
     def test_read_accepts_repeated_identical_edge(self, tmp_path):
         path = tmp_path / "graph.tsv"
         path.write_text("a.A.a\tb.B.b\t0.5\nb.B.b\ta.A.a\t0.5\n", encoding="utf-8")

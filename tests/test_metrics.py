@@ -14,7 +14,6 @@ from apicomp.metrics import (CorpusMetrics, MetricConfig, QualityWeights,
                              local_freq, pair_distance, pair_weight, quality,
                              weight)
 from apicomp.pruner import prune
-from apicomp.rng import SplitMix64, derive_seed
 from apicomp.trace_model import (ApiClassifier, CallNode, CallTree, Origin,
                                  TraceCorpus)
 
@@ -34,8 +33,9 @@ class TestConfigs:
     def test_metric_config_validates(self):
         with pytest.raises(ValueError):
             MetricConfig(weight_formula="bogus")
-        with pytest.raises(ValueError):
-            MetricConfig(distance_pair_cap=0)
+        # distance_pair_cap is a class constant, not a field.
+        with pytest.raises(TypeError):
+            MetricConfig(distance_pair_cap=1)
 
 
 class TestCoOccur:
@@ -178,6 +178,9 @@ class TestQuality:
 
 
 class TestDistancePairCap:
+    """Mean path lengths stay exact however many occurrence pairs a
+    (pair, tree) case has."""
+
     def _bushy_corpus(self):
         # x appears 40 times, y 25 times: 1000 occurrence pairs.
         spec = ("lib.O.root",
@@ -185,19 +188,32 @@ class TestDistancePairCap:
                 ["lib.O.x"] * 15)
         return build_corpus({"a": [spec]})
 
+    def _past_cap_corpus(self):
+        # x appears 120 times, y 100 times: 12,000 occurrence pairs, more
+        # than the former sampling threshold.
+        spec = ("lib.O.root",
+                [("lib.O.x", ["lib.O.y"]) for _ in range(100)] +
+                ["lib.O.x"] * 20)
+        return build_corpus({"a": [spec]})
+
     def test_cap_is_deterministic(self):
-        corpus = self._bushy_corpus()
-        config = MetricConfig(distance_pair_cap=50)
-        first = distance(m("lib.O.x"), m("lib.O.y"), corpus, config)
-        second = distance(m("lib.O.x"), m("lib.O.y"), corpus, config)
-        assert first == second
+        corpus = self._past_cap_corpus()
+        x, y = m("lib.O.x"), m("lib.O.y")
+        tree = corpus.trees["a"][0]
+        assert 120 * 100 > MetricConfig.distance_pair_cap
+        first = distance(x, y, corpus)
+        assert first == distance(x, y, corpus)
         assert 0.0 <= first <= 1.0
+        assert average_path_length(x, y, tree) == pytest.approx(
+            bf.avg_distance(x, y, tree), abs=TOL)
 
     def test_cap_is_symmetric(self):
-        corpus = self._bushy_corpus()
-        config = MetricConfig(distance_pair_cap=50)
-        assert distance(m("lib.O.x"), m("lib.O.y"), corpus, config) == \
-            distance(m("lib.O.y"), m("lib.O.x"), corpus, config)
+        corpus = self._past_cap_corpus()
+        x, y = m("lib.O.x"), m("lib.O.y")
+        tree = corpus.trees["a"][0]
+        assert distance(x, y, corpus) == distance(y, x, corpus)
+        assert average_path_length(x, y, tree) == \
+            average_path_length(y, x, tree)
 
     def test_uncapped_matches_oracle(self):
         corpus = self._bushy_corpus()
@@ -206,26 +222,17 @@ class TestDistancePairCap:
         assert average_path_length(x, y, tree) == pytest.approx(
             bf.avg_distance(x, y, tree), abs=TOL)
 
-    @pytest.mark.parametrize("cap", [1, 7, 50, 999, 1000])
-    def test_capped_mean_is_the_oracle_mean_of_the_drawn_pairs(self, cap):
-        tree = self._bushy_corpus().trees["a"][0]
-        x, y = m("lib.O.x"), m("lib.O.y")
-        config = MetricConfig(distance_pair_cap=cap)
-        expected = drawn_pairs_oracle_mean(tree, x, y, cap)
-        assert average_path_length(x, y, tree, config) == expected
-        assert average_path_length(y, x, tree, config) == expected
-
-    @given(st.integers(0, 10_000), st.integers(1, 12))
+    @given(st.integers(0, 10_000), st.integers(2, 3))
     @settings(max_examples=60, deadline=None)
-    def test_capped_mean_matches_oracle_on_random_trees(self, seed, cap):
-        # Three methods over up to 40 nodes: most pairs repeat past the cap.
-        pool = [f"lib.R.m{i}" for i in range(3)]
-        tree = build_tree("a", "s", random_tree_spec(random.Random(seed), pool, 40))
-        config = MetricConfig(distance_pair_cap=cap)
+    def test_exact_mean_matches_oracle_with_repeated_methods(self, seed, count):
+        # Two or three methods over up to 60 nodes, so each occurs many times.
+        pool = [f"lib.R.m{i}" for i in range(count)]
+        tree = build_tree("a", "s", random_tree_spec(random.Random(seed), pool, 60))
         present = sorted({node.method for node, _ in bf.node_list(tree)})
         for c, v in itertools.combinations(present, 2):
-            assert average_path_length(c, v, tree, config) == \
-                drawn_pairs_oracle_mean(tree, c, v, cap)
+            expected = bf.avg_distance(c, v, tree)
+            assert average_path_length(c, v, tree) == expected
+            assert average_path_length(v, c, tree) == expected
 
     def test_deep_chain_means_are_depth_differences(self):
         # One 3,000-deep chain over 4 methods, far past the recursion limit.
@@ -240,37 +247,12 @@ class TestDistancePairCap:
         depths: dict = {}
         for d, name in enumerate(names):
             depths.setdefault(m(name), []).append(d)
-        cap = MetricConfig().distance_pair_cap
         for c, v in itertools.combinations(sorted(depths), 2):
             occ_c, occ_v = depths[c], depths[v]
             total = len(occ_c) * len(occ_v)
-            assert total > cap
+            assert total > 10_000
             exact = sum(abs(i - j) for i in occ_c for j in occ_v) / total
-            assert average_path_length(
-                c, v, tree, MetricConfig(distance_pair_cap=total + 1)) == exact
-            drawn = SplitMix64(derive_seed("a", "s", c.qualified, v.qualified)
-                               ).sample_indices(total, cap)
-            sampled = sum(abs(occ_c[k // len(occ_v)] - occ_v[k % len(occ_v)])
-                          for k in drawn) / cap
-            assert average_path_length(c, v, tree) == sampled
-
-
-def drawn_pairs_oracle_mean(tree, c, v, cap: int) -> float:
-    """Mean BFS path length over the occurrence pairs the cap selects: all
-    of them up to the cap, else the pairs the seeded splitmix64 draws."""
-    if v < c:
-        c, v = v, c
-    nodes = bf.node_list(tree)
-    adj = bf._adjacency(nodes)
-    occ_c = [i for i, (n, _) in enumerate(nodes) if n.method == c]
-    occ_v = [i for i, (n, _) in enumerate(nodes) if n.method == v]
-    total = len(occ_c) * len(occ_v)
-    flat = range(total) if total <= cap else SplitMix64(
-        derive_seed(tree.app_id, tree.scenario_id, c.qualified, v.qualified)
-    ).sample_indices(total, cap)
-    lengths = [bf.path_length(nodes, adj, occ_c[k // len(occ_v)], occ_v[k % len(occ_v)])
-               for k in flat]
-    return sum(lengths) / len(lengths)
+            assert average_path_length(c, v, tree) == exact
 
 
 # -- properties ----------------------------------------------------------------

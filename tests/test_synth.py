@@ -5,7 +5,7 @@ import pytest
 from apicomp.clusterer import cluster
 from apicomp.graph_builder import build_graph
 from apicomp.pruner import prune_corpus
-from apicomp.rng import SplitMix64, derive_seed
+from apicomp.rng import SplitMix64
 from apicomp.synth import (PlantSpec, generate, load_ground_truth,
                            write_generated)
 from apicomp.trace_model import ApiClassifier, Origin, load_corpus
@@ -27,16 +27,6 @@ class TestSplitMix64:
         assert all(0 <= rng.below(7) < 7 for _ in range(100))
         assert all(3 <= rng.randint(3, 5) <= 5 for _ in range(100))
         assert all(0.0 <= rng.random() < 1.0 for _ in range(100))
-
-    def test_sample_indices_distinct(self):
-        rng = SplitMix64(7)
-        sample = rng.sample_indices(1000, 50)
-        assert len(sample) == len(set(sample)) == 50
-        assert all(0 <= i < 1000 for i in sample)
-
-    def test_derive_seed_is_stable(self):
-        assert derive_seed("a", "b") == derive_seed("a", "b")
-        assert derive_seed("a", "b") != derive_seed("ab", "")
 
 
 class TestPlantSpecValidation:
