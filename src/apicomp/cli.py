@@ -12,8 +12,8 @@ artifacts:
   evaluate   score a report's components against relatedness labels
 
 ``prune``, ``metrics``, ``graph`` and ``run`` read a corpus through
-``pipeline.load_pruned``, and ``--jobs`` reaches the stages through
-``pipeline.worker_map``, the one place a thread pool is created.
+``pipeline.load_pruned``. Every stage runs serially; ``--jobs`` is accepted
+and validated for compatibility but has no effect.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 trace parse
 error, 3 empty corpus.
@@ -33,7 +33,7 @@ from .components import RelatednessLabels
 from .graph_builder import (GraphConfig, build_graph, read_edge_list,
                             write_dot, write_edge_list)
 from .metrics import CorpusMetrics, MetricConfig, QualityWeights
-from .pipeline import RunConfig, load_pruned, run_pipeline, worker_map
+from .pipeline import RunConfig, load_pruned, run_pipeline
 from .report import build_evaluation, render_evaluation_text, write_evaluation
 from .synth import PlantSpec, write_generated
 from .trace_model import TraceParseError, content_lines, method_at, write_corpus
@@ -84,8 +84,8 @@ def _positive_int(text: str) -> int:
 
 _STAGE_OPTIONS = {
     "--jobs": dict(type=_positive_int, default=1,
-                   help="parallel workers for per-file parsing, per-tree pruning "
-                        "and the per-tree pair pass (default 1)"),
+                   help="accepted for compatibility (an integer >= 1); has no "
+                        "effect, because every stage runs serially"),
     "--edge-threshold": dict(type=float, default=0.0,
                              help="minimum quality for an edge (default 0.0)"),
     "--rc-comparison": dict(choices=["prose", "caption"], default="prose",
@@ -124,8 +124,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_prune(args) -> int:
-    with worker_map(args.jobs) as mapper:
-        corpus, pruned = load_pruned(args.corpus, args.classifier, mapper)
+    corpus, pruned = load_pruned(args.corpus, args.classifier)
     if pruned is None:
         print("empty corpus: nothing to prune", file=sys.stderr)
         return EXIT_EMPTY
@@ -165,15 +164,14 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    with worker_map(args.jobs) as mapper:
-        _, pruned = load_pruned(args.corpus, args.classifier, mapper)
-        if pruned is None:
-            print("empty corpus: no graph to build", file=sys.stderr)
-            return EXIT_EMPTY
-        config = GraphConfig(weights=_weights_from(args),
-                             edge_threshold=args.edge_threshold,
-                             metrics=_metric_config_from(args))
-        graph = build_graph(pruned, config, mapper)
+    _, pruned = load_pruned(args.corpus, args.classifier)
+    if pruned is None:
+        print("empty corpus: no graph to build", file=sys.stderr)
+        return EXIT_EMPTY
+    config = GraphConfig(weights=_weights_from(args),
+                         edge_threshold=args.edge_threshold,
+                         metrics=_metric_config_from(args))
+    graph = build_graph(pruned, config)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_edge_list(graph, out_dir / "graph.tsv")
@@ -204,7 +202,6 @@ def cmd_run(args) -> int:
         edge_threshold=args.edge_threshold,
         metric_config=_metric_config_from(args),
         cluster_config=ClusterConfig(rc_comparison=args.rc_comparison),
-        jobs=args.jobs,
     )
     report = run_pipeline(config)
     if report["corpus"]["empty"]:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .metrics import CorpusMetrics, MetricConfig, QualityWeights
 from .trace_model import MethodRef, TraceCorpus, content_lines, method_at
@@ -94,9 +94,6 @@ class ApiGraph:
         """Weight of the edge u-v, or 0.0 when absent."""
         return self._adjacency.get(u, {}).get(v, 0.0)
 
-    def has_edge(self, u: MethodRef, v: MethodRef) -> bool:
-        return v in self._adjacency.get(u, {})
-
     def edges(self) -> Iterator[tuple[MethodRef, MethodRef, float]]:
         """All edges once, endpoints ordered, sorted."""
         names, _, adjacency, weights = self.int_view()
@@ -109,22 +106,21 @@ class ApiGraph:
         return sum(map(len, self._adjacency.values())) // 2
 
 
+# _mapper: passed, and ignored, only by perfbench/traced.py; ROADMAP item 2 removes it.
 def build_graph(corpus: TraceCorpus, config: GraphConfig | None = None,
-                mapper: Callable[..., Iterable] = map) -> ApiGraph:
+                _mapper=None) -> ApiGraph:
     """Build the method graph of a pruned corpus.
 
     Only pairs that actually co-occur are scored (everything else would
     weigh 0 on frequency and weight anyway). Each scored pair's edge weight
     is its two-method ``quality``, blended from its table row: over one
     pair, ``call_freq``, ``call_dist`` and ``call_weight`` are exactly
-    ``(lfreq + gfreq) / 2``, ``distance`` and ``weight``. ``mapper`` may be
-    a thread pool's ``map``; it runs the per-tree pair pass, whose results
-    are merged in corpus order, so the graph does not depend on scheduling.
+    ``(lfreq + gfreq) / 2``, ``distance`` and ``weight``.
     """
     config = config or GraphConfig()
     if corpus.is_empty():
         return ApiGraph(())
-    engine = CorpusMetrics(corpus, config.metrics, mapper)
+    engine = CorpusMetrics(corpus, config.metrics)
     names, blend = engine.names, config.weights.blend
     graph = ApiGraph(names)
     for (c, v), row in engine.table.items():

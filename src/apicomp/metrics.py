@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Iterable
+from typing import ClassVar
 
 from .trace_model import CallNode, CallTree, MethodRef, TraceCorpus
 
@@ -207,15 +207,6 @@ class _TreeIndex:
         count = self.direct_pairs.get((c, v) if c < v else (v, c))
         return count / self.edge_total if count else 0.0
 
-    def scored_pairs(self) -> tuple[list[int], list[float], list[float]]:
-        """The tree's methods, sorted, and the distance scores and weight
-        shares of their pairs in ``combinations`` order."""
-        methods = sorted(self.methods)
-        return (methods,
-                [self.distance_score(c, v)
-                 for c, v in itertools.combinations(methods, 2)],
-                [self.weight_share(c, v) for c, v in itertools.combinations(methods, 2)])
-
 
 def _index_pair(c: MethodRef, v: MethodRef,
                 tree: CallTree) -> tuple[_TreeIndex, int, int]:
@@ -235,18 +226,16 @@ class CorpusMetrics:
     c < v, to its scores, in sorted pair order.
 
     Construction walks the trees twice: once to number the methods, then
-    once to score each tree's pairs, in one task of ``mapper`` per tree
-    (``mapper`` may be a thread pool's ``map``). The results are merged
-    apps in corpus order, trees in order, into a per-pair row. Rows are
-    reduced in the order and form a per-pair scan would use, less the exact
-    0.0 terms of trees without the pair, so the accessors are table
-    lookups; a pair that never co-occurs scores 0.0 on all four.
+    once, apps in corpus order and trees in order, to score each tree's
+    pairs in ``combinations`` order of its sorted methods into a per-pair
+    row. Rows are reduced in the order and form a per-pair scan would use,
+    less the exact 0.0 terms of trees without the pair, so the accessors
+    are table lookups; a pair that never co-occurs scores 0.0 on all four.
     """
 
     _ABSENT = PairAffinity(0.0, 0.0, 0.0, 0.0)
 
-    def __init__(self, corpus: TraceCorpus, config: MetricConfig | None = None,
-                 mapper: Callable[..., Iterable] = map) -> None:
+    def __init__(self, corpus: TraceCorpus, config: MetricConfig | None = None) -> None:
         if corpus.is_empty():
             raise ValueError("cannot evaluate metrics over an empty corpus")
         self.config = config or MetricConfig()
@@ -254,21 +243,17 @@ class CorpusMetrics:
         self.names: list[MethodRef] = sorted({node.method for tree in corpus.all_trees()
                                               for node in tree.method_nodes()})
         self.ids: dict[MethodRef, int] = {m: i for i, m in enumerate(self.names)}
-
-        def score_tree(tree: CallTree) -> tuple[list[int], list[float], list[float]]:
-            return _TreeIndex(tree, self.ids).scored_pairs()
-
-        scored = iter(mapper(score_tree, list(corpus.all_trees())))
         # Per pair: [local total, distance total, apps containing it, trees
         # containing it, their nonzero weight shares in corpus order].
         rows: defaultdict = defaultdict(lambda: [0.0, 0.0, 0, 0, []])
         for trees in corpus.trees.values():
             # Per pair: distance scores in this app's trees.
             in_app: dict[tuple[int, int], list[float]] = {}
-            for methods, dists, shares in itertools.islice(scored, len(trees)):
-                for pair, dist, share in zip(itertools.combinations(methods, 2),
-                                             dists, shares):
-                    in_app.setdefault(pair, []).append(dist)
+            for tree in trees:
+                ix = _TreeIndex(tree, self.ids)
+                for pair in itertools.combinations(sorted(ix.methods), 2):
+                    in_app.setdefault(pair, []).append(ix.distance_score(*pair))
+                    share = ix.weight_share(*pair)
                     if share:
                         rows[pair][4].append(share)
             for pair, scores in in_app.items():

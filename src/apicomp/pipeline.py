@@ -1,20 +1,15 @@
 """End-to-end orchestration: parse, classify, prune, score, cluster, report.
 
 The front of the chain, corpus to pruned corpus, is ``load_pruned``, which
-every subcommand that reads a corpus calls. ``worker_map`` is the one place
-a thread pool is created: per-file parsing, per-tree pruning and the
-per-tree pair pass run through the mapper it yields, and their outputs are
-merged in input order, so the report bytes do not depend on the
-parallelism degree.
+every subcommand that reads a corpus calls. Every stage runs serially, in
+input order: threads never measured faster on these pure-Python per-tree
+steps, so there is no pool.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
 
 from .clusterer import ClusterConfig, cluster
 from .components import assemble
@@ -34,6 +29,7 @@ class RunConfig:
     edge_threshold: float = 0.0
     metric_config: MetricConfig = field(default_factory=MetricConfig)
     cluster_config: ClusterConfig = field(default_factory=ClusterConfig)
+    # Read only by perfbench/traced.py; ROADMAP item 2 removes it.
     jobs: int = 1
 
     def config_echo(self) -> dict:
@@ -53,29 +49,17 @@ class RunConfig:
         }
 
 
-@contextmanager
-def worker_map(jobs: int) -> Iterator[Callable[..., Iterable]]:
-    """The ``map`` of a thread pool of ``jobs`` workers that lives as long
-    as the ``with`` block, or the builtin ``map`` for a single job."""
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            yield pool.map
-    else:
-        yield map
-
-
-def load_pruned(corpus_dir: str | Path, classifier_path: str | Path | None,
-                mapper: Callable[..., Iterable] = map
+def load_pruned(corpus_dir: str | Path, classifier_path: str | Path | None
                 ) -> tuple[TraceCorpus, TraceCorpus | None]:
     """Load and classify a corpus, then prune it: ``(corpus, pruned)``, with
     ``pruned`` None for an empty corpus. Without a classifier file every
     method is API."""
     classifier = (ApiClassifier.load(classifier_path) if classifier_path
                   else ApiClassifier.match_all())
-    corpus = load_corpus(corpus_dir, classifier, mapper)
+    corpus = load_corpus(corpus_dir, classifier)
     if corpus.is_empty():
         return corpus, None
-    return corpus, prune_corpus(corpus, mapper)
+    return corpus, prune_corpus(corpus)
 
 
 def run_pipeline(config: RunConfig) -> dict:
@@ -87,14 +71,13 @@ def run_pipeline(config: RunConfig) -> dict:
     graph_config = GraphConfig(weights=config.weights,
                                edge_threshold=config.edge_threshold,
                                metrics=config.metric_config)
-    with worker_map(config.jobs) as mapper:
-        corpus, pruned = load_pruned(config.corpus_dir, config.classifier_path, mapper)
-        if pruned is None:
-            report = build_report(config.config_echo(), corpus, None, None, [])
-        else:
-            graph = build_graph(pruned, graph_config, mapper)
-            components = assemble(cluster(graph, config.cluster_config), pruned)
-            report = build_report(config.config_echo(), corpus, pruned, graph,
-                                  components)
+    corpus, pruned = load_pruned(config.corpus_dir, config.classifier_path)
+    if pruned is None:
+        report = build_report(config.config_echo(), corpus, None, None, [])
+    else:
+        graph = build_graph(pruned, graph_config)
+        components = assemble(cluster(graph, config.cluster_config), pruned)
+        report = build_report(config.config_echo(), corpus, pruned, graph,
+                              components)
     write_report(report, config.out_dir)
     return report

@@ -37,12 +37,9 @@ def prune(tree: CallTree) -> PrunedTree:
     return PrunedTree(tree.app_id, tree.scenario_id, new_root)
 
 
-def prune_corpus(corpus: TraceCorpus, mapper=map) -> TraceCorpus:
-    """Prune every tree of a corpus; trees are independent, so ``mapper``
-    may be a thread pool's ``map``."""
-    order = [(app_id, tree) for app_id, ts in corpus.trees.items() for tree in ts]
-    pruned = mapper(lambda item: prune(item[1]), order)
-    trees: dict[str, list[CallTree]] = {}
-    for (app_id, _), tree in zip(order, pruned):
-        trees.setdefault(app_id, []).append(tree)
-    return TraceCorpus(trees)
+# _mapper: passed, and ignored, only by perfbench/traced.py; ROADMAP item 2 removes it.
+def prune_corpus(corpus: TraceCorpus, _mapper=None) -> TraceCorpus:
+    """Prune every tree of a corpus, in corpus order; an app without trees
+    is dropped."""
+    return TraceCorpus({app_id: [prune(tree) for tree in ts]
+                        for app_id, ts in corpus.trees.items() if ts})

@@ -22,7 +22,7 @@ import enum
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Iterator
 
 # Root marker used when serializing trees whose original root was removed
 # by pruning. Recognized by the parser only at depth 0; it cannot collide
@@ -381,38 +381,32 @@ def tree_stats(tree: CallTree) -> TraceStats:
     )
 
 
+# _mapper: passed, and ignored, only by perfbench/traced.py; ROADMAP item 2 removes it.
 def load_corpus(corpus_dir: str | Path, classifier: ApiClassifier | None = None,
-                mapper: Callable[..., Iterable] = map) -> TraceCorpus:
+                _mapper=None) -> TraceCorpus:
     """Load a corpus directory; one subdirectory per app, ``*.trace`` scenarios.
 
-    When a classifier is given every tree is classified on load. ``mapper``
-    may be a thread pool's ``map``; files are parsed independently and the
-    result order is fixed by the sorted directory listing.
+    When a classifier is given every tree is classified on load. Apps and
+    scenarios are read in sorted directory order; an app directory without
+    trace files is left out.
     """
     corpus_dir = Path(corpus_dir)
     if not corpus_dir.is_dir():
         raise FileNotFoundError(f"corpus directory not found: {corpus_dir}")
 
-    jobs: list[tuple[str, Path]] = []
+    trees: dict[str, list[CallTree]] = {}
     for app_dir in sorted(p for p in corpus_dir.iterdir() if p.is_dir()):
         for trace_path in sorted(app_dir.glob("*.trace")):
-            jobs.append((app_dir.name, trace_path))
-
-    def parse_one(job: tuple[str, Path]) -> CallTree:
-        app_id, trace_path = job
-        try:
-            text = trace_path.read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
-            raise TraceParseError(f"not UTF-8 text ({exc.reason} at byte {exc.start})",
-                                  path=str(trace_path)) from None
-        tree = parse_trace_file(text, app_id, trace_path.stem, path=str(trace_path))
-        if classifier is not None:
-            tree = classify(tree, classifier)
-        return tree
-
-    trees: dict[str, list[CallTree]] = {}
-    for (app_id, _), tree in zip(jobs, mapper(parse_one, jobs)):
-        trees.setdefault(app_id, []).append(tree)
+            try:
+                text = trace_path.read_text(encoding="utf-8")
+            except UnicodeDecodeError as exc:
+                raise TraceParseError(f"not UTF-8 text ({exc.reason} at byte {exc.start})",
+                                      path=str(trace_path)) from None
+            tree = parse_trace_file(text, app_dir.name, trace_path.stem,
+                                    path=str(trace_path))
+            if classifier is not None:
+                tree = classify(tree, classifier)
+            trees.setdefault(app_dir.name, []).append(tree)
     return TraceCorpus(trees)
 
 

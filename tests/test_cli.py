@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +15,19 @@ from apicomp.cli import main
 
 def run_cli(*argv) -> int:
     return main(list(argv))
+
+
+def test_import_loads_no_thread_pool():
+    """Every stage runs serially, so importing the CLI must not import
+    ``concurrent.futures``. A pool may come back only with a measured gain."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, apicomp.cli; print('concurrent.futures' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+        timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 @pytest.fixture

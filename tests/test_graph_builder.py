@@ -1,5 +1,3 @@
-from concurrent.futures import ThreadPoolExecutor
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -107,13 +105,11 @@ class TestBuildGraph:
         assert high_edges <= low_edges
         assert len(high_edges) < len(low_edges)
 
-    def test_deterministic_across_runs_and_mappers(self):
+    def test_deterministic_across_runs(self):
         corpus = random_corpus(7)
-        serial = build_graph(corpus)
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            parallel = build_graph(corpus, mapper=pool.map)
-        assert list(serial.edges()) == list(parallel.edges())
-        assert serial.vertices == parallel.vertices
+        first, second = build_graph(corpus), build_graph(corpus)
+        assert list(first.edges()) == list(second.edges())
+        assert first.vertices == second.vertices
 
 
 @given(st.integers(0, 10_000), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
@@ -129,15 +125,11 @@ def test_edge_weight_is_the_two_method_quality(seed, lambda_dist, lambda_weight)
         assert w == engine.quality((u, v), weights)
 
 
-def test_pair_table_is_independent_of_the_mapper():
-    corpus = random_corpus(11, max_trees=12, max_nodes=30)
-    serial = CorpusMetrics(corpus)
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        pooled = CorpusMetrics(corpus, mapper=pool.map)
-    assert pooled.names == serial.names == sorted(serial.names)
-    assert list(pooled.table.items()) == list(serial.table.items())
-    assert list(serial.table) == sorted(serial.table)
-    assert serial.co_occurring_pairs() == sorted(serial.co_occurring_pairs())
+def test_pair_table_is_in_sorted_pair_order():
+    engine = CorpusMetrics(random_corpus(11, max_trees=12, max_nodes=30))
+    assert engine.names == sorted(engine.names)
+    assert list(engine.table) == sorted(engine.table)
+    assert engine.co_occurring_pairs() == sorted(engine.co_occurring_pairs())
 
 
 class TestGraphFiles:
