@@ -17,15 +17,15 @@ lambda weights. All results lie in [0, 1].
 is the implementation behind the module-level convenience functions; prefer
 it when evaluating many pairs over the same corpus. It numbers the distinct
 methods in name order, so every pair inside it is a pair of ints whose order
-is the order of the names.
+is the order of the names; while scoring, a pair c < v of n methods is the
+one int ``c * n + v``, which sorts the same way.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 from .trace_model import CallNode, CallTree, MethodRef, TraceCorpus
 
@@ -79,8 +79,7 @@ class MetricConfig:
             raise ValueError(f"weight_formula must be one of {WEIGHT_FORMULAS}")
 
 
-@dataclass(frozen=True)
-class PairAffinity:
+class PairAffinity(NamedTuple):
     """The four pairwise scores for one method pair."""
 
     lfreq: float
@@ -101,10 +100,17 @@ def _check_set(methods) -> list[MethodRef]:
     return unique
 
 
+def _closeness(mean_path: float, scale: float) -> float:
+    """1 - mean path / scale, clamped to [0, 1]; ``scale`` is twice the
+    tree depth."""
+    return min(1.0, max(0.0, 1.0 - mean_path / scale))
+
+
 class _TreeIndex:
     """Flat arrays over one tree, numbered in pre-order: parents, depths and
     method occurrences. Methods are the ints ``ids`` assigns them, in name
-    order.
+    order, and a pair of methods c < v is the one int ``c * n + v``, n being
+    ``len(ids)``.
 
     The connector root, when present, is indexed like any node so paths
     between subtrees step through it, but it is never an occurrence and
@@ -117,14 +123,17 @@ class _TreeIndex:
     pair would give, so the mean is the same float.
     """
 
-    __slots__ = ("methods", "occurrences", "parent", "depth", "tree_depth",
+    __slots__ = ("n", "occurrences", "parent", "depth", "tree_depth",
                  "edge_total", "direct_pairs", "_sums_method", "_sums")
 
     def __init__(self, tree: CallTree, ids: dict[MethodRef, int]) -> None:
+        self.n = n = len(ids)
         self.parent: list[int] = []
         self.depth: list[int] = []
         self.occurrences: dict[int, list[int]] = {}
-        self.direct_pairs: Counter = Counter()
+        # Pair key -> direct calls between two distinct methods; a method
+        # calling itself counts only in edge_total.
+        self.direct_pairs: dict[int, int] = {}
         self.edge_total = 0
         self._sums_method = -1
         self._sums: list[int] = []
@@ -142,18 +151,18 @@ class _TreeIndex:
                 self.occurrences.setdefault(label, []).append(idx)
                 parent_label = labels[parent_idx] if parent_idx >= 0 else -1
                 if parent_label >= 0:
-                    key = ((parent_label, label) if parent_label < label
-                           else (label, parent_label))
-                    self.direct_pairs[key] += 1
                     self.edge_total += 1
+                    if parent_label != label:
+                        key = (parent_label * n + label if parent_label < label
+                               else label * n + parent_label)
+                        self.direct_pairs[key] = self.direct_pairs.get(key, 0) + 1
             for child in reversed(node.children):
                 stack.append((child, idx, d + 1))
 
-        self.methods = frozenset(self.occurrences)
         self.tree_depth = max(self.depth) if self.depth else 0
 
     def co_occur(self, c: int, v: int) -> int:
-        return int(c in self.methods and v in self.methods)
+        return int(c in self.occurrences and v in self.occurrences)
 
     def _distance_sums(self, c: int) -> list[int]:
         """``S[y]``: the summed path length from every occurrence of c to y.
@@ -173,7 +182,7 @@ class _TreeIndex:
             for y in range(len(parent) - 1, 0, -1):
                 if below[y]:
                     below[parent[y]] += below[y]
-            sums = [sum(self.depth[i] for i in occ)] * len(parent)
+            sums = [sum(map(self.depth.__getitem__, occ))] * len(parent)
             for y in range(1, len(parent)):
                 sums[y] = sums[parent[y]] + len(occ) - 2 * below[y]
             self._sums_method, self._sums = c, sums
@@ -199,12 +208,11 @@ class _TreeIndex:
             return 0.0
         if not self.co_occur(c, v):
             return 0.0
-        score = 1.0 - self.average_path_length(c, v) / (2.0 * self.tree_depth)
-        return min(1.0, max(0.0, score))
+        return _closeness(self.average_path_length(c, v), 2.0 * self.tree_depth)
 
     def weight_share(self, c: int, v: int) -> float:
         """Direct parent-child calls between c and v over all invocation edges."""
-        count = self.direct_pairs.get((c, v) if c < v else (v, c))
+        count = self.direct_pairs.get(c * self.n + v if c < v else v * self.n + c)
         return count / self.edge_total if count else 0.0
 
 
@@ -226,11 +234,16 @@ class CorpusMetrics:
     c < v, to its scores, in sorted pair order.
 
     Construction walks the trees twice: once to number the methods, then
-    once, apps in corpus order and trees in order, to score each tree's
-    pairs in ``combinations`` order of its sorted methods into a per-pair
-    row. Rows are reduced in the order and form a per-pair scan would use,
-    less the exact 0.0 terms of trees without the pair, so the accessors
-    are table lookups; a pair that never co-occurs scores 0.0 on all four.
+    once, apps in corpus order and trees in order, to score each tree: one
+    ``_distance_sums`` per method c with a later partner v, each pair's
+    distance score and tree count into per-app accumulators keyed by the
+    int ``c * n + v``, and each direct-call pair's weight share into a
+    corpus-wide one. An app's accumulators fold into the pair totals when
+    the app ends. Every float total is a running ``+=`` from 0.0, in tree
+    then app order: the float CPython 3.11's ``sum()`` gives over the terms
+    a per-pair scan would add, less the exact 0.0 terms of trees without
+    the pair. So the accessors are table lookups; a pair that never
+    co-occurs scores 0.0 on all four.
     """
 
     _ABSENT = PairAffinity(0.0, 0.0, 0.0, 0.0)
@@ -243,31 +256,49 @@ class CorpusMetrics:
         self.names: list[MethodRef] = sorted({node.method for tree in corpus.all_trees()
                                               for node in tree.method_nodes()})
         self.ids: dict[MethodRef, int] = {m: i for i, m in enumerate(self.names)}
-        # Per pair: [local total, distance total, apps containing it, trees
-        # containing it, their nonzero weight shares in corpus order].
-        rows: defaultdict = defaultdict(lambda: [0.0, 0.0, 0, 0, []])
+        n = len(self.names)
+        # Per pair key: the sums over apps of the app's share of trees
+        # containing the pair and of its mean distance score, the apps and
+        # trees containing it, and its summed weight shares.
+        local: dict[int, float] = {}
+        dist: dict[int, float] = {}
+        app_count: dict[int, int] = {}
+        tree_count: dict[int, int] = {}
+        shares: dict[int, float] = {}
         for trees in corpus.trees.values():
-            # Per pair: distance scores in this app's trees.
-            in_app: dict[tuple[int, int], list[float]] = {}
+            in_app: dict[int, int] = {}  # trees of this app containing the pair
+            app_dist: dict[int, float] = {}  # their summed distance scores
             for tree in trees:
                 ix = _TreeIndex(tree, self.ids)
-                for pair in itertools.combinations(sorted(ix.methods), 2):
-                    in_app.setdefault(pair, []).append(ix.distance_score(*pair))
-                    share = ix.weight_share(*pair)
-                    if share:
-                        rows[pair][4].append(share)
-            for pair, scores in in_app.items():
-                row = rows[pair]
-                row[0] += len(scores) / len(trees)
-                row[1] += sum(scores) / len(trees)
-                row[2] += 1
-                row[3] += len(scores)
+                occurrences = ix.occurrences
+                methods = sorted(occurrences)
+                scale = 2.0 * ix.tree_depth
+                for i in range(len(methods) - 1):
+                    c = methods[i]
+                    distance_sum = ix._distance_sums(c).__getitem__
+                    occ_c = len(occurrences[c])
+                    base = c * n
+                    for v in methods[i + 1:]:
+                        occ_v = occurrences[v]
+                        key = base + v
+                        in_app[key] = in_app.get(key, 0) + 1
+                        app_dist[key] = app_dist.get(key, 0.0) + _closeness(
+                            sum(map(distance_sum, occ_v)) / (occ_c * len(occ_v)), scale)
+                edge_total = ix.edge_total
+                for key, count in ix.direct_pairs.items():
+                    shares[key] = shares.get(key, 0.0) + count / edge_total
+            size = len(trees)
+            for key, count in in_app.items():
+                local[key] = local.get(key, 0.0) + count / size
+                dist[key] = dist.get(key, 0.0) + app_dist[key] / size
+                app_count[key] = app_count.get(key, 0) + 1
+                tree_count[key] = tree_count.get(key, 0) + count
         literal = self.config.weight_formula == "literal"
         self.table: dict[tuple[int, int], PairAffinity] = {}
-        for pair in sorted(rows):
-            local, dist, containing, count, shares = rows[pair]
-            self.table[pair] = PairAffinity(local / apps, containing / apps, dist / apps,
-                                            sum(shares) / (apps if literal else count))
+        for key in sorted(local):
+            self.table[divmod(key, n)] = PairAffinity(
+                local[key] / apps, app_count[key] / apps, dist[key] / apps,
+                shares.get(key, 0.0) / (apps if literal else tree_count[key]))
 
     def methods(self) -> list[MethodRef]:
         """All distinct methods occurring anywhere, in stable sorted order."""

@@ -21,6 +21,7 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterator
 
@@ -52,20 +53,30 @@ class Origin(enum.Enum):
     API = "API"
 
 
-@dataclass(frozen=True, order=True)
-class MethodRef:
-    """Fully qualified method identity; equality is by (class, method)."""
+class MethodRef(tuple):
+    """Fully qualified method identity: a tuple equal to
+    ``(class_name, method_name)``, so hashing, equality and ordering are the
+    tuple's, class first."""
 
-    class_name: str
-    method_name: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.class_name or not self.method_name:
+    def __new__(cls, class_name: str, method_name: str) -> "MethodRef":
+        if not class_name or not method_name:
             raise ValueError("class_name and method_name must be non-empty")
+        return tuple.__new__(cls, (class_name, method_name))
+
+    class_name = property(itemgetter(0), doc="The qualified name before its last ``.``.")
+    method_name = property(itemgetter(1), doc="The qualified name after its last ``.``.")
+
+    def __getnewargs__(self) -> tuple[str, str]:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return f"MethodRef(class_name={self[0]!r}, method_name={self[1]!r})"
 
     @property
     def qualified(self) -> str:
-        return f"{self.class_name}.{self.method_name}"
+        return f"{self[0]}.{self[1]}"
 
     @classmethod
     def from_qualified(cls, text: str) -> "MethodRef":
@@ -243,6 +254,14 @@ def parse_trace_file(text: str, app_id: str, scenario_id: str, *,
     Raises:
         TraceParseError: empty input, bad depth sequence, unparsable names.
     """
+    return _parse(text, app_id, scenario_id, path, {})
+
+
+def _parse(text: str, app_id: str, scenario_id: str, path: str | None,
+           methods: dict[str, MethodRef]) -> CallTree:
+    """``parse_trace_file``, taking each method from ``methods`` (qualified
+    name to ``MethodRef``) and adding the names it has not seen, so callers
+    that share the dict share one ``MethodRef`` per name."""
     root: CallNode | None = None
     # Ancestor chain of the previous event as (depth, node) pairs.
     chain: list[tuple[int, CallNode]] = []
@@ -283,10 +302,12 @@ def parse_trace_file(text: str, app_id: str, scenario_id: str, *,
                 raise fail("connector marker is only valid as the root event")
             node = CallNode(None, Origin.API)
         else:
-            try:
-                method = MethodRef.from_qualified(name)
-            except ValueError as exc:
-                raise fail(str(exc)) from None
+            method = methods.get(name)
+            if method is None:
+                try:
+                    method = methods[name] = MethodRef.from_qualified(name)
+                except ValueError as exc:
+                    raise fail(str(exc)) from None
             node = CallNode(method, pinned or Origin.APPLICATION, pinned=pinned)
 
         if root is None:
@@ -326,29 +347,37 @@ def serialize_tree(tree: CallTree) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _classified_origin(node: CallNode, classifier: ApiClassifier) -> Origin:
-    if node.is_connector:
+def _classified_origin(node: CallNode, classifier: ApiClassifier,
+                       origins: dict[str, Origin]) -> Origin:
+    """A node's origin; ``origins`` caches the classifier's verdict per
+    class name."""
+    if node.method is None:
         return Origin.API
     if node.pinned is not None:
         return node.pinned
-    if classifier.is_api(node.method.class_name):
-        return Origin.API
-    return Origin.APPLICATION
+    class_name = node.method.class_name
+    if class_name not in origins:
+        origins[class_name] = (Origin.API if classifier.is_api(class_name)
+                               else Origin.APPLICATION)
+    return origins[class_name]
 
 
 def classify(tree: CallTree, classifier: ApiClassifier) -> CallTree:
     """Return a copy with every node's origin recomputed from the classifier.
 
     Pinned nodes keep their pinned origin; tree shape is unchanged and the
-    operation is idempotent.
+    operation is idempotent. Each class name is matched against the
+    classifier once per tree.
     """
-    new_root = CallNode(tree.root.method, _classified_origin(tree.root, classifier),
+    origins: dict[str, Origin] = {}
+    new_root = CallNode(tree.root.method,
+                        _classified_origin(tree.root, classifier, origins),
                         [], tree.root.pinned)
     stack = [(tree.root, new_root)]
     while stack:
         old, new = stack.pop()
         for child in old.children:
-            copy = CallNode(child.method, _classified_origin(child, classifier),
+            copy = CallNode(child.method, _classified_origin(child, classifier, origins),
                             [], child.pinned)
             new.children.append(copy)
             stack.append((child, copy))
@@ -356,23 +385,34 @@ def classify(tree: CallTree, classifier: ApiClassifier) -> CallTree:
 
 
 def tree_stats(tree: CallTree) -> TraceStats:
-    """Summarize a classified tree.
+    """Summarize a classified tree, in one walk.
 
     ``nodes`` counts method nodes only. ``height`` is the longest chain of
     method invocations, so a synthetic connector root does not add a level.
     Repetition counts cover distinct API-origin methods; a tree without API
     nodes reports zero repetitions.
     """
-    repetitions = Counter(
-        node.method for node in tree.method_nodes() if node.origin is Origin.API)
-    height = tree.depth()
+    repetitions: Counter = Counter()
+    nodes = height = 0
+    stack = [(tree.root, 0)]
+    while stack:
+        node, d = stack.pop()
+        if d > height:
+            height = d
+        if node.method is not None:
+            nodes += 1
+            if node.origin is Origin.API:
+                repetitions[node.method] += 1
+        d += 1
+        for child in node.children:
+            stack.append((child, d))
     if tree.root.is_connector and height > 0:
         height -= 1
     if not repetitions:
-        return TraceStats(tree.node_count(), 0, height, 0, 0, 0.0)
+        return TraceStats(nodes, 0, height, 0, 0, 0.0)
     counts = repetitions.values()
     return TraceStats(
-        nodes=tree.node_count(),
+        nodes=nodes,
         unique_api_methods=len(repetitions),
         height=height,
         min_repetition=min(counts),
@@ -388,13 +428,14 @@ def load_corpus(corpus_dir: str | Path, classifier: ApiClassifier | None = None,
 
     When a classifier is given every tree is classified on load. Apps and
     scenarios are read in sorted directory order; an app directory without
-    trace files is left out.
+    trace files is left out. All trees share one ``MethodRef`` per name.
     """
     corpus_dir = Path(corpus_dir)
     if not corpus_dir.is_dir():
         raise FileNotFoundError(f"corpus directory not found: {corpus_dir}")
 
     trees: dict[str, list[CallTree]] = {}
+    methods: dict[str, MethodRef] = {}
     for app_dir in sorted(p for p in corpus_dir.iterdir() if p.is_dir()):
         for trace_path in sorted(app_dir.glob("*.trace")):
             try:
@@ -402,8 +443,7 @@ def load_corpus(corpus_dir: str | Path, classifier: ApiClassifier | None = None,
             except UnicodeDecodeError as exc:
                 raise TraceParseError(f"not UTF-8 text ({exc.reason} at byte {exc.start})",
                                       path=str(trace_path)) from None
-            tree = parse_trace_file(text, app_dir.name, trace_path.stem,
-                                    path=str(trace_path))
+            tree = _parse(text, app_dir.name, trace_path.stem, str(trace_path), methods)
             if classifier is not None:
                 tree = classify(tree, classifier)
             trees.setdefault(app_dir.name, []).append(tree)

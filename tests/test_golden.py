@@ -105,3 +105,71 @@ def test_metrics_csv_bytes(corpus_dir, tmp_path, flags, digest):
                  str(corpus_dir / "classifier.txt"), *flags, "--sets", str(sets),
                  "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# A hand-written corpus: pinned API/APP columns that override the classifier,
+# an application root that prunes to a connector, a root-only tree, and
+# methods repeated at several depths of deep trees.
+HAND_CORPUS = {
+    "alpha/s1.trace": """\
+0\tapp.Main.run
+1\tlib.io.Reader.open
+2\tlib.io.Buffer.fill
+3\tlib.io.Buffer.fill
+4\tapp.Main.callback
+5\tlib.io.Reader.read
+6\tlib.io.Buffer.fill
+7\tlib.io.Reader.close
+1\tapp.Main.step
+2\tlib.io.Reader.read
+3\tlib.io.Buffer.fill
+2\tlib.io.Reader.close
+1\tlib.io.Reader.open
+""",
+    "alpha/s2.trace": """\
+0\tlib.io.Reader.open
+1\tlib.io.Buffer.fill\tAPP
+2\tlib.io.Reader.read
+1\tapp.Glue.bridge\tAPI
+2\tlib.io.Reader.close
+3\tlib.io.Reader.open
+""",
+    "beta/s1.trace": """\
+0\tlib.net.Socket.connect
+1\tlib.net.Socket.send
+2\tlib.net.Socket.send
+3\tlib.io.Buffer.fill
+4\tlib.net.Socket.send
+5\tlib.io.Buffer.fill
+6\tlib.net.Socket.recv
+7\tlib.net.Socket.send
+8\tlib.net.Socket.recv
+9\tlib.net.Socket.close
+1\tlib.net.Socket.close
+""",
+    "beta/s2.trace": "0\tlib.net.Socket.connect\n",
+    "gamma/s1.trace": """\
+0\tapp.Cli.main
+1\tlib.net.Socket.connect
+2\tlib.net.Socket.send
+1\tapp.Cli.loop\tAPP
+2\tlib.io.Reader.open
+3\tlib.io.Reader.read
+4\tlib.net.Socket.send
+2\tlib.net.Socket.recv
+1\tlib.net.Socket.close
+""",
+}
+
+
+def test_hand_written_run_report_bytes(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name, text in HAND_CORPUS.items():
+        path = tmp_path / "corpus" / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+    (tmp_path / "api.txt").write_text("lib.\n", encoding="utf-8")
+    assert main(["run", "--corpus", "corpus", "--classifier", "api.txt",
+                 "--out", "out"]) == 0
+    digest = hashlib.sha256((tmp_path / "out" / "report.json").read_bytes()).hexdigest()
+    assert digest == "abd529879e870209a7759cda26232a42b8ff20deb0f72f5529ad49bb25c0e841"

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -8,14 +9,14 @@ from hypothesis import strategies as st
 import bruteforce as bf
 from conftest import build_corpus, build_tree, m, random_corpus, random_tree_spec
 
-from apicomp.metrics import (CorpusMetrics, MetricConfig, QualityWeights,
-                             average_path_length, call_dist, call_freq,
-                             call_weight, co_occur, distance, global_freq,
-                             local_freq, pair_distance, pair_weight, quality,
-                             weight)
+from apicomp.metrics import (CorpusMetrics, MetricConfig, PairAffinity,
+                             QualityWeights, _TreeIndex, average_path_length,
+                             call_dist, call_freq, call_weight, co_occur,
+                             distance, global_freq, local_freq, pair_distance,
+                             pair_weight, quality, weight)
 from apicomp.pruner import prune
 from apicomp.trace_model import (ApiClassifier, CallNode, CallTree, Origin,
-                                 TraceCorpus)
+                                 PrunedTree, TraceCorpus)
 
 A, B, C, D, E, L = (m(f"lib.Ops.{x}") for x in "ABCDEL")
 TOL = 1e-12
@@ -359,3 +360,76 @@ def test_pair_affinity_bundle(worked_corpus):
     for value in (affinity.lfreq, affinity.gfreq, affinity.distance,
                   affinity.weight):
         assert 0.0 <= value <= 1.0
+
+
+# -- the pair kernel against the per-pair reduction ----------------------------
+
+_POOL = [m(f"lib.C{i}.m{j}") for i in range(2) for j in range(3)]
+
+
+@st.composite
+def pruned_trees(draw, app_id: str, scenario_id: str):
+    """A random pruned-shape tree over six methods, so methods repeat, calls
+    to self occur and one-node (depth-0) trees are common; the root may be
+    a connector."""
+    n = draw(st.integers(1, 12))
+    methods: list = [draw(st.sampled_from(_POOL)) for _ in range(n)]
+    if draw(st.booleans()):
+        methods[0] = None
+    nodes = [CallNode(method, Origin.API) for method in methods]
+    for child in range(1, n):
+        nodes[draw(st.integers(0, child - 1))].children.append(nodes[child])
+    return PrunedTree(app_id, scenario_id, nodes[0])
+
+
+@st.composite
+def pruned_corpora(draw):
+    trees = {}
+    for a in range(draw(st.integers(1, 4))):
+        app = f"app{a}"
+        trees[app] = [draw(pruned_trees(app, f"s{i}"))
+                      for i in range(draw(st.integers(1, 5)))]
+    return TraceCorpus(trees)
+
+
+def per_pair_reduction(corpus: TraceCorpus, formula: str) -> dict:
+    """The pair table as a per-pair scan reduces it: per app, the list of
+    the pair's ``distance_score`` in each tree containing it, then ``sum()``;
+    per pair, the list of its nonzero weight shares in corpus order, then
+    ``sum()``."""
+    names = sorted({n.method for t in corpus.all_trees() for n in t.method_nodes()})
+    ids = {name: i for i, name in enumerate(names)}
+    apps = len(corpus.trees)
+    rows: dict = {}  # pair -> [local, dist, apps, trees, shares]
+    for trees in corpus.trees.values():
+        in_app: dict = {}
+        for tree in trees:
+            ix = _TreeIndex(tree, ids)
+            for pair in itertools.combinations(sorted(ix.occurrences), 2):
+                in_app.setdefault(pair, []).append(ix.distance_score(*pair))
+                share = ix.weight_share(*pair)
+                if share:
+                    rows.setdefault(pair, [0.0, 0.0, 0, 0, []])[4].append(share)
+        for pair, scores in in_app.items():
+            row = rows.setdefault(pair, [0.0, 0.0, 0, 0, []])
+            row[0] += len(scores) / len(trees)
+            row[1] += sum(scores) / len(trees)
+            row[2] += 1
+            row[3] += len(scores)
+    literal = formula == "literal"
+    return {pair: PairAffinity(local / apps, containing / apps, dist / apps,
+                               sum(shares) / (apps if literal else count))
+            for pair, (local, dist, containing, count, shares) in sorted(rows.items())}
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 12),
+                    reason="the reference's sum() of floats is compensated from Python 3.12 on")
+@pytest.mark.parametrize("formula", ["example", "literal"])
+@given(corpus=pruned_corpora())
+@settings(max_examples=100, deadline=None)
+def test_pair_kernel_is_bit_exact_to_the_per_pair_reduction(formula, corpus):
+    engine = CorpusMetrics(corpus, MetricConfig(weight_formula=formula))
+    reference = per_pair_reduction(corpus, formula)
+    assert engine.table == reference
+    assert list(engine.table) == list(reference)
+    assert all(type(row) is PairAffinity for row in engine.table.values())

@@ -1,3 +1,7 @@
+import copy
+import pickle
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,9 +10,9 @@ import bruteforce as bf
 from conftest import API_CLASSIFIER, FIG_TREE_TEXT, build_tree, m, write_corpus_dir
 
 from apicomp.trace_model import (ApiClassifier, CallNode, CallTree, MethodRef,
-                                 Origin, TraceParseError, classify, load_corpus,
-                                 parse_trace_file, serialize_tree, tree_stats,
-                                 write_corpus)
+                                 Origin, TraceParseError, TraceStats, classify,
+                                 load_corpus, parse_trace_file, serialize_tree,
+                                 tree_stats, write_corpus)
 
 
 class TestMethodRef:
@@ -34,6 +38,38 @@ class TestMethodRef:
         assert m("a.C.x") != m("a.C.y")
         assert sorted([m("b.C.a"), m("a.C.z"), m("a.C.a")]) == [
             m("a.C.a"), m("a.C.z"), m("b.C.a")]
+
+    @pytest.mark.parametrize("class_name, method_name", [
+        ("a.C", "x"), ("org.pkg.Widget", "render"), ("é.Ü", "ß")])
+    def test_is_the_tuple_of_its_parts(self, class_name, method_name):
+        ref = MethodRef(class_name, method_name)
+        assert hash(ref) == hash((class_name, method_name))
+        assert ref == (class_name, method_name)
+        assert repr(ref) == (f"MethodRef(class_name={class_name!r}, "
+                             f"method_name={method_name!r})")
+
+    def test_empty_class_name_is_rejected(self):
+        with pytest.raises(ValueError):
+            MethodRef("", "x")
+
+    def test_parts_are_read_only(self):
+        ref = m("a.C.x")
+        with pytest.raises(AttributeError):
+            ref.class_name = "b.C"
+        with pytest.raises(AttributeError):
+            ref.method_name = "y"
+        assert ref == m("a.C.x")
+
+    def test_copy_and_pickle_round_trip(self):
+        ref = m("org.pkg.Widget.render")
+        tree = parse_trace_file(FIG_TREE_TEXT, "app", "s")
+        for clone in (copy.deepcopy(ref), pickle.loads(pickle.dumps(ref))):
+            assert type(clone) is MethodRef and clone == ref
+            assert clone.qualified == "org.pkg.Widget.render"
+        for clone in (copy.deepcopy(tree), pickle.loads(pickle.dumps(tree))):
+            assert clone == tree
+            assert serialize_tree(clone) == serialize_tree(tree)
+            assert all(type(n.method) is MethodRef for n in clone.method_nodes())
 
 
 class TestParse:
@@ -205,6 +241,27 @@ def test_avg_repetition_matches_direct_recount(tree):
         assert api_nodes == 0
 
 
+@given(call_trees(), st.booleans())
+@settings(max_examples=80)
+def test_tree_stats_equals_the_three_walk_definition(tree, connector):
+    classified = classify(tree, ApiClassifier(("lib.",)))
+    if connector:
+        # A pruned application root: a connector adopts its subtrees.
+        classified = CallTree("app", "s", CallNode(None, Origin.API,
+                                                   classified.root.children))
+    repetitions = Counter(n.method for n in classified.method_nodes()
+                          if n.origin is Origin.API)
+    height = classified.depth()
+    if connector and height > 0:
+        height -= 1
+    counts = repetitions.values()
+    expected = TraceStats(
+        classified.node_count(), len(repetitions), height,
+        min(counts, default=0), max(counts, default=0),
+        sum(counts) / len(repetitions) if repetitions else 0.0)
+    assert tree_stats(classified) == expected
+
+
 class TestCorpusIO:
     def test_load_corpus_layout(self, tmp_path):
         corpus_dir = write_corpus_dir(tmp_path, {
@@ -216,6 +273,16 @@ class TestCorpusIO:
         assert [t.scenario_id for t in corpus.trees["alpha"]] == ["s0", "s1"]
         assert all(t.app_id == "alpha" for t in corpus.trees["alpha"])
         assert corpus.tree_count() == 3
+
+    def test_load_corpus_shares_one_method_ref_per_name(self, tmp_path):
+        corpus_dir = write_corpus_dir(tmp_path, {
+            "alpha": {"s0": "0\tlib.A.a\n1\tlib.A.a\n", "s1": "0\tlib.B.b\n1\tlib.A.a\n"},
+            "beta": {"s0": "0\tlib.A.a\n"},
+        })
+        corpus = load_corpus(corpus_dir, ApiClassifier(("lib.",)))
+        refs = [n.method for t in corpus.all_trees() for n in t.method_nodes()
+                if n.method == m("lib.A.a")]
+        assert len(refs) == 4 and all(r is refs[0] for r in refs)
 
     def test_missing_directory(self, tmp_path):
         with pytest.raises(FileNotFoundError):
