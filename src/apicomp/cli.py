@@ -22,7 +22,6 @@ error, 3 empty corpus.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
@@ -35,8 +34,8 @@ from .graph_builder import (GraphConfig, build_graph, read_edge_list,
 from .metrics import CorpusMetrics, MetricConfig, QualityWeights
 from .pipeline import RunConfig, load_pruned, run_pipeline
 from .report import build_evaluation, render_evaluation_text, write_evaluation
-from .synth import PlantSpec, write_generated
-from .trace_model import TraceParseError, content_lines, method_at, write_corpus
+from .trace_model import (TraceParseError, content_lines, method_at, read_utf8,
+                          write_corpus)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -107,6 +106,8 @@ def _metric_config_from(args) -> MetricConfig:
 
 
 def cmd_generate(args) -> int:
+    from .synth import PlantSpec, write_generated  # only this command generates
+
     spec = PlantSpec(
         component_count=args.components,
         methods_per_component=tuple(args.methods_per_component),
@@ -137,6 +138,8 @@ def cmd_prune(args) -> int:
 
 
 def cmd_metrics(args) -> int:
+    import csv  # only this command writes CSV
+
     _, pruned = load_pruned(args.corpus, args.classifier)
     if pruned is None:
         print("empty corpus: no metrics to compute", file=sys.stderr)
@@ -217,7 +220,11 @@ def cmd_run(args) -> int:
 
 def cmd_evaluate(args) -> int:
     report_path = Path(args.report)
-    report = json.loads(report_path.read_text(encoding="utf-8"))
+    try:
+        report = json.loads(read_utf8(report_path))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{report_path}: not valid JSON "
+                         f"(line {exc.lineno} column {exc.colno})") from None
     labels = RelatednessLabels.load(args.labels)
     evaluation = build_evaluation(report, labels)
     sys.stdout.write(render_evaluation_text(evaluation))

@@ -26,55 +26,53 @@ numbers follow name order, so comparing ints breaks ties as names would.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from itertools import chain, repeat
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph_builder import ApiGraph, IntView
+from .metrics import left_sum
 from .trace_model import MethodRef
 
 RC_COMPARISONS = ("prose", "caption")
 
 
-@dataclass(frozen=True)
-class ClusterConfig:
+class ClusterConfig(namedtuple("ClusterConfig", "rc_comparison")):
     """rc_comparison picks how relative compactness counts satellites:
     "prose" (default) counts satellites with strictly worse star quality,
     "caption" counts satellites with strictly better star quality."""
 
-    rc_comparison: str = "prose"
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.rc_comparison not in RC_COMPARISONS:
+    def __new__(cls, rc_comparison: str = "prose") -> "ClusterConfig":
+        if rc_comparison not in RC_COMPARISONS:
             raise ValueError(f"rc_comparison must be one of {RC_COMPARISONS}")
+        return tuple.__new__(cls, (rc_comparison,))
 
 
-@dataclass(frozen=True)
-class WsGraph:
+class WsGraph(namedtuple("WsGraph", "center satellites")):
     """A weighted star subgraph: a center and its satellite vertices."""
 
-    center: MethodRef
-    satellites: frozenset[MethodRef]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.center in self.satellites:
+    def __new__(cls, center: MethodRef, satellites: frozenset[MethodRef]) -> "WsGraph":
+        if center in satellites:
             raise ValueError("a star's center cannot be its own satellite")
+        return tuple.__new__(cls, (center, satellites))
 
     @property
     def members(self) -> frozenset[MethodRef]:
         return self.satellites | {self.center}
 
 
-@dataclass
-class CoverState:
+class CoverState(NamedTuple):
     """Chosen centers (in selection order) and the vertices they cover."""
 
     centers: list[MethodRef]
     covered: set[MethodRef]
 
 
-@dataclass(frozen=True)
-class Cluster:
+class Cluster(NamedTuple):
     """One output cluster: a final star's center and full member set."""
 
     center: MethodRef
@@ -94,10 +92,10 @@ def _members_quality(members: list[int], view: IntView) -> float:
         return 0.0
     weights = view.weights
     # Row by row, pair (a, b) for each b after a: combinations order, summed
-    # by one sum() so the float total matches a sum over combinations().
+    # left to right so the float total matches a sum over combinations().
     rows = (map(weights[a].get, members[i + 1:], repeat(0.0))
             for i, a in enumerate(members))
-    return sum(chain.from_iterable(rows)) / (k * (k - 1) // 2)
+    return left_sum(chain.from_iterable(rows)) / (k * (k - 1) // 2)
 
 
 def _star_quality(i: int, view: IntView) -> float:

@@ -10,17 +10,16 @@ other provided method.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .clusterer import Cluster
 from .trace_model import MethodRef, TraceCorpus, content_lines, method_at
 
 
-@dataclass(frozen=True)
-class CallWitness:
+class CallWitness(NamedTuple):
     """One concrete invocation backing a required-interface entry."""
 
     app_id: str
@@ -28,25 +27,31 @@ class CallWitness:
     caller: MethodRef
 
 
-@dataclass
-class Component:
-    center: MethodRef
-    provided_interface: frozenset[MethodRef]
-    implementation_classes: frozenset[str]
-    required_interface: frozenset[MethodRef]
-    # First witnessing call edge per required method, for auditability.
-    required_witnesses: dict[MethodRef, CallWitness] = field(default_factory=dict)
+class Component(namedtuple("Component", "center provided_interface implementation_classes "
+                                        "required_interface required_witnesses")):
+    """A cluster as a component; ``required_witnesses`` maps each required
+    method to its first witnessing call edge, for auditability, and is a
+    fresh dict when omitted."""
+
+    __slots__ = ()
+
+    def __new__(cls, center: MethodRef, provided_interface: frozenset[MethodRef],
+                implementation_classes: frozenset[str],
+                required_interface: frozenset[MethodRef],
+                required_witnesses: dict[MethodRef, CallWitness] | None = None
+                ) -> "Component":
+        return tuple.__new__(cls, (center, provided_interface, implementation_classes,
+                                   required_interface,
+                                   {} if required_witnesses is None else required_witnesses))
 
 
-@dataclass(frozen=True)
-class ComponentStats:
+class ComponentStats(NamedTuple):
     count: int
     avg_interface_methods: float
     avg_component_classes: float
 
 
-@dataclass(frozen=True)
-class RelatednessLabels:
+class RelatednessLabels(NamedTuple):
     """Symmetric 'functionally related' judgments; absent pairs are unrelated."""
 
     pairs: frozenset[frozenset[MethodRef]]

@@ -7,7 +7,7 @@ reaches the configured threshold; the quality score is the edge weight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
@@ -15,16 +15,15 @@ from .metrics import CorpusMetrics, MetricConfig, QualityWeights
 from .trace_model import MethodRef, TraceCorpus, content_lines, method_at
 
 
-@dataclass(frozen=True)
-class GraphConfig:
-    weights: QualityWeights = field(default_factory=QualityWeights)
-    edge_threshold: float = 0.0
-    metrics: MetricConfig = field(default_factory=MetricConfig)
+class GraphConfig(namedtuple("GraphConfig", "weights edge_threshold metrics")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.edge_threshold < 1.0:
-            raise ValueError(
-                f"edge_threshold must be in [0, 1), got {self.edge_threshold}")
+    def __new__(cls, weights: QualityWeights = QualityWeights(),
+                edge_threshold: float = 0.0,
+                metrics: MetricConfig = MetricConfig()) -> "GraphConfig":
+        if not 0.0 <= edge_threshold < 1.0:
+            raise ValueError(f"edge_threshold must be in [0, 1), got {edge_threshold}")
+        return tuple.__new__(cls, (weights, edge_threshold, metrics))
 
 
 class IntView(NamedTuple):

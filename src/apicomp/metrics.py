@@ -24,29 +24,30 @@ one int ``c * n + v``, which sorts the same way.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import ClassVar, NamedTuple
+from collections import namedtuple
+from functools import reduce
+from operator import add
+from typing import NamedTuple
 
 from .trace_model import CallNode, CallTree, MethodRef, TraceCorpus
 
 WEIGHT_FORMULAS = ("example", "literal")
 
 
-@dataclass(frozen=True)
-class QualityWeights:
+class QualityWeights(namedtuple("QualityWeights", "lambda_freq lambda_dist lambda_weight")):
     """Lambda weights blending frequency, distance and weight into quality."""
 
-    lambda_freq: float = 1.0
-    lambda_dist: float = 1.0
-    lambda_weight: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("lambda_freq", "lambda_dist", "lambda_weight"):
-            value = getattr(self, name)
+    def __new__(cls, lambda_freq: float = 1.0, lambda_dist: float = 1.0,
+                lambda_weight: float = 1.0) -> "QualityWeights":
+        self = tuple.__new__(cls, (lambda_freq, lambda_dist, lambda_weight))
+        for name, value in zip(cls._fields, self):
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
         if self.total() <= 0.0:
             raise ValueError("at least one lambda must be positive")
+        return self
 
     def total(self) -> float:
         return self.lambda_freq + self.lambda_dist + self.lambda_weight
@@ -57,8 +58,7 @@ class QualityWeights:
                 + self.lambda_weight * weight) / self.total()
 
 
-@dataclass(frozen=True)
-class MetricConfig:
+class MetricConfig(namedtuple("MetricConfig", "weight_formula")):
     """Evaluation switches.
 
     weight_formula:
@@ -70,13 +70,14 @@ class MetricConfig:
     all occurrence pairs.
     """
 
-    weight_formula: str = "example"
+    __slots__ = ()
     # Read only by perfbench's capped_share; ROADMAP item 2 removes it.
-    distance_pair_cap: ClassVar[int] = 10_000
+    distance_pair_cap = 10_000
 
-    def __post_init__(self) -> None:
-        if self.weight_formula not in WEIGHT_FORMULAS:
+    def __new__(cls, weight_formula: str = "example") -> "MetricConfig":
+        if weight_formula not in WEIGHT_FORMULAS:
             raise ValueError(f"weight_formula must be one of {WEIGHT_FORMULAS}")
+        return tuple.__new__(cls, (weight_formula,))
 
 
 class PairAffinity(NamedTuple):
@@ -86,6 +87,13 @@ class PairAffinity(NamedTuple):
     gfreq: float
     distance: float
     weight: float
+
+
+def left_sum(values) -> float:
+    """The floats added strictly left to right from 0.0, as a running ``+=``
+    adds them: what CPython 3.11's ``sum()`` gives and 3.12's compensated
+    ``sum()`` may not, so float totals do not depend on the Python version."""
+    return reduce(add, values, 0.0)
 
 
 def _check_pair(c: MethodRef, v: MethodRef) -> None:
@@ -341,9 +349,9 @@ class CorpusMetrics:
         distinct members."""
         rows = [self.pair_affinity(c, v)
                 for c, v in itertools.combinations(_check_set(methods), 2)]
-        return (sum((row.lfreq + row.gfreq) / 2.0 for row in rows) / len(rows),
-                sum(row.distance for row in rows) / len(rows),
-                sum(row.weight for row in rows) / len(rows))
+        return (left_sum((row.lfreq + row.gfreq) / 2.0 for row in rows) / len(rows),
+                left_sum(row.distance for row in rows) / len(rows),
+                left_sum(row.weight for row in rows) / len(rows))
 
     def call_freq(self, methods) -> float:
         """Mean of (local + global) / 2 over all unordered pairs."""

@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import enum
 from collections import Counter
-from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 # Root marker used when serializing trees whose original root was removed
 # by pruning. Recognized by the parser only at depth 0; it cannot collide
@@ -89,31 +88,59 @@ class MethodRef(tuple):
         return self.qualified
 
 
-@dataclass
-class CallNode:
+class Record:
+    """Base of the mutable record classes: field-wise ``==`` and a ``repr``
+    over ``_fields``, which a subclass sets to its ``__slots__``, and no
+    hash, since the fields can change."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    __hash__ = None
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class CallNode(Record):
     """One call event. ``method is None`` marks the synthetic connector root.
 
     ``pinned`` carries a per-line API/APP override from the trace file;
     classification never changes a pinned node.
     """
 
-    method: MethodRef | None
-    origin: Origin = Origin.APPLICATION
-    children: list["CallNode"] = field(default_factory=list)
-    pinned: Origin | None = None
+    __slots__ = _fields = ("method", "origin", "children", "pinned")
+
+    def __init__(self, method: MethodRef | None, origin: Origin = Origin.APPLICATION,
+                 children: list[CallNode] | None = None,
+                 pinned: Origin | None = None) -> None:
+        self.method = method
+        self.origin = origin
+        self.children = [] if children is None else children
+        self.pinned = pinned
 
     @property
     def is_connector(self) -> bool:
         return self.method is None
 
 
-@dataclass
-class CallTree:
+class CallTree(Record):
     """Rooted ordered tree of call events for one usage scenario."""
 
-    app_id: str
-    scenario_id: str
-    root: CallNode
+    __slots__ = _fields = ("app_id", "scenario_id", "root")
+
+    def __init__(self, app_id: str, scenario_id: str, root: CallNode) -> None:
+        self.app_id = app_id
+        self.scenario_id = scenario_id
+        self.root = root
 
     def nodes(self) -> Iterator[CallNode]:
         """All nodes in pre-order, including a connector root if present."""
@@ -153,19 +180,20 @@ class CallTree:
         return deepest
 
 
-@dataclass
 class PrunedTree(CallTree):
     """A call tree whose application frames have been removed (see pruner)."""
 
+    __slots__ = ()
 
-@dataclass
-class TraceCorpus:
+
+class TraceCorpus(Record):
     """All call trees of all applications; the universe the metrics average over."""
 
-    trees: dict[str, list[CallTree]]
+    __slots__ = _fields = ("trees",)
 
-    def __post_init__(self) -> None:
-        for app_id, app_trees in self.trees.items():
+    def __init__(self, trees: dict[str, list[CallTree]]) -> None:
+        self.trees = trees
+        for app_id, app_trees in trees.items():
             for tree in app_trees:
                 if tree.app_id != app_id:
                     raise ValueError(
@@ -186,8 +214,7 @@ class TraceCorpus:
         return not self.trees
 
 
-@dataclass(frozen=True)
-class ApiClassifier:
+class ApiClassifier(NamedTuple):
     """Prefix list deciding which classes belong to the API under study.
 
     A method is API iff its class name starts with any listed prefix
@@ -208,16 +235,21 @@ class ApiClassifier:
         return cls(tuple(raw.strip() for _, raw in content_lines(path)))
 
 
+def read_utf8(path: str | Path) -> str:
+    """The text of a UTF-8 file; one that is not UTF-8 raises ``ValueError``
+    naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+                         ) from None
+
+
 def content_lines(path: str | Path) -> Iterator[tuple[int, str]]:
     """The numbered lines of a UTF-8 text file that are neither blank nor
     ``#`` comments, as ``(line_no, raw)`` with ``raw`` unstripped; a file
     that is not UTF-8 raises ``ValueError`` naming it."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
-                         ) from None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(read_utf8(path).splitlines(), start=1):
         line = raw.strip()
         if line and not line.startswith("#"):
             yield line_no, raw
@@ -232,8 +264,7 @@ def method_at(path: str | Path, line_no: int, name: str) -> MethodRef:
         raise ValueError(f"{path}:{line_no}: {exc}") from None
 
 
-@dataclass(frozen=True)
-class TraceStats:
+class TraceStats(NamedTuple):
     """Per-tree summary: size, distinct API methods, height, repetitions."""
 
     nodes: int

@@ -30,6 +30,27 @@ def test_import_loads_no_thread_pool():
     assert proc.stdout.strip() == "False"
 
 
+def test_run_loads_no_dataclasses_and_no_generate_only_module(tmp_path):
+    """``apicomp run`` starts without the ``dataclasses`` machinery and
+    without what only ``generate`` and ``metrics`` use. The run happens in
+    the same fresh interpreter, so nothing it needs was merely deferred."""
+    corpus = tmp_path / "corpus"
+    assert run_cli("generate", "--seed", "3", "--out", str(corpus)) == 0
+    argv = ["run", "--corpus", str(corpus), "--out", str(tmp_path / "out")]
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys\nfrom apicomp.cli import main\n"
+         f"code = main({argv!r})\n"
+         "print(code, [m for m in ('dataclasses', 'apicomp.synth', 'apicomp.rng', 'csv')"
+         " if m in sys.modules])"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+        timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
+    assert (tmp_path / "out" / "report.json").is_file()
+
+
 @pytest.fixture
 def fig_corpus(tmp_path):
     corpus_dir = write_corpus_dir(tmp_path, {"demo": {"s0": FIG_TREE_TEXT}})
@@ -284,6 +305,26 @@ class TestEvaluate:
                        "--labels", str(labels_file)) == 1
         assert capsys.readouterr().err.startswith("apicomp: error: ")
         assert not (tmp_path / "evaluation.json").exists()
+
+    def test_malformed_json_report_names_the_file(self, tmp_path, capsys):
+        report_file = tmp_path / "report.json"
+        report_file.write_text('{"schema": }', encoding="utf-8")
+        labels_file = tmp_path / "labels.txt"
+        labels_file.write_text("# none\n", encoding="utf-8")
+        assert run_cli("evaluate", "--report", str(report_file),
+                       "--labels", str(labels_file)) == 1
+        assert capsys.readouterr().err == (
+            f"apicomp: error: {report_file}: not valid JSON (line 1 column 12)\n")
+
+    def test_non_utf8_report_names_the_file(self, tmp_path, capsys):
+        report_file = tmp_path / "report.json"
+        report_file.write_bytes(b'{"schema": "caf\xe9"}')
+        labels_file = tmp_path / "labels.txt"
+        labels_file.write_text("# none\n", encoding="utf-8")
+        assert run_cli("evaluate", "--report", str(report_file),
+                       "--labels", str(labels_file)) == 1
+        assert capsys.readouterr().err.startswith(
+            f"apicomp: error: {report_file}: not UTF-8 text (")
 
     def test_schema_1_report_still_evaluates(self, tmp_path):
         report_file = tmp_path / "report.json"

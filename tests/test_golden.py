@@ -5,8 +5,9 @@ The oracle tests compare scores to within 1e-12, so a change in the order
 or form of a float reduction would pass them while still moving the last
 bit of an edge weight. These sha256s pin ``graph.tsv``, the cluster text,
 ``report.json``, the pruned traces and the metrics CSV exactly. They were
-recorded with CPython 3.11; ``sum()`` of floats is compensated from 3.12
-on, which may move a last bit there.
+recorded with CPython 3.11. Every float total is added left to right, by
+``metrics.left_sum`` or a running ``+=``, never by ``sum()``, whose float
+result is compensated from 3.12 on.
 """
 
 import hashlib

@@ -1,6 +1,5 @@
 import itertools
 import random
-import sys
 
 import pytest
 from hypothesis import given, settings
@@ -12,8 +11,8 @@ from conftest import build_corpus, build_tree, m, random_corpus, random_tree_spe
 from apicomp.metrics import (CorpusMetrics, MetricConfig, PairAffinity,
                              QualityWeights, _TreeIndex, average_path_length,
                              call_dist, call_freq, call_weight, co_occur,
-                             distance, global_freq, local_freq, pair_distance,
-                             pair_weight, quality, weight)
+                             distance, global_freq, left_sum, local_freq,
+                             pair_distance, pair_weight, quality, weight)
 from apicomp.pruner import prune
 from apicomp.trace_model import (ApiClassifier, CallNode, CallTree, Origin,
                                  PrunedTree, TraceCorpus)
@@ -394,9 +393,9 @@ def pruned_corpora(draw):
 
 def per_pair_reduction(corpus: TraceCorpus, formula: str) -> dict:
     """The pair table as a per-pair scan reduces it: per app, the list of
-    the pair's ``distance_score`` in each tree containing it, then ``sum()``;
-    per pair, the list of its nonzero weight shares in corpus order, then
-    ``sum()``."""
+    the pair's ``distance_score`` in each tree containing it, then
+    ``left_sum``; per pair, the list of its nonzero weight shares in corpus
+    order, then ``left_sum``."""
     names = sorted({n.method for t in corpus.all_trees() for n in t.method_nodes()})
     ids = {name: i for i, name in enumerate(names)}
     apps = len(corpus.trees)
@@ -413,17 +412,15 @@ def per_pair_reduction(corpus: TraceCorpus, formula: str) -> dict:
         for pair, scores in in_app.items():
             row = rows.setdefault(pair, [0.0, 0.0, 0, 0, []])
             row[0] += len(scores) / len(trees)
-            row[1] += sum(scores) / len(trees)
+            row[1] += left_sum(scores) / len(trees)
             row[2] += 1
             row[3] += len(scores)
     literal = formula == "literal"
     return {pair: PairAffinity(local / apps, containing / apps, dist / apps,
-                               sum(shares) / (apps if literal else count))
+                               left_sum(shares) / (apps if literal else count))
             for pair, (local, dist, containing, count, shares) in sorted(rows.items())}
 
 
-@pytest.mark.skipif(sys.version_info >= (3, 12),
-                    reason="the reference's sum() of floats is compensated from Python 3.12 on")
 @pytest.mark.parametrize("formula", ["example", "literal"])
 @given(corpus=pruned_corpora())
 @settings(max_examples=100, deadline=None)
@@ -433,3 +430,21 @@ def test_pair_kernel_is_bit_exact_to_the_per_pair_reduction(formula, corpus):
     assert engine.table == reference
     assert list(engine.table) == list(reference)
     assert all(type(row) is PairAffinity for row in engine.table.values())
+
+
+class TestLeftSum:
+    def test_adds_left_to_right(self):
+        # A compensated sum gives 1.0 here; strict left-to-right addition
+        # loses the 1.0 against 1e16.
+        assert left_sum([1e16, 1.0, -1e16]) == 0.0
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_a_running_total(self, seed):
+        rng = random.Random(seed)
+        values = [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-8, 8)
+                  for _ in range(rng.randint(0, 60))]
+        total = 0.0
+        for value in values:
+            total += value
+        assert left_sum(values) == total
+        assert left_sum(iter(values)) == total

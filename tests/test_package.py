@@ -1,0 +1,186 @@
+"""The package surface and the record contracts.
+
+``apicomp`` resolves its public names on first use, and its records are
+named tuples or slotted classes rather than dataclasses. These tests pin
+what callers may rely on: every public name, pickling and deep copies,
+immutability of the configs and value records, and unhashable trees.
+"""
+
+import copy
+import importlib
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from conftest import FIG_TREE_TEXT, write_corpus_dir
+
+import apicomp
+from apicomp.clusterer import Cluster, ClusterConfig, CoverState, WsGraph, cluster
+from apicomp.components import (CallWitness, Component, ComponentStats,
+                                RelatednessLabels, assemble)
+from apicomp.graph_builder import GraphConfig, build_graph
+from apicomp.metrics import MetricConfig, QualityWeights
+from apicomp.pipeline import RunConfig, load_pruned
+from apicomp.trace_model import (ApiClassifier, CallNode, CallTree, MethodRef, Origin,
+                                 PrunedTree, TraceCorpus, TraceStats)
+
+# The public names ``apicomp/__init__.py`` imported eagerly before they
+# loaded on first use, by defining submodule.
+PUBLIC_NAMES = {
+    "clusterer": ["Cluster", "ClusterConfig", "CoverState", "WsGraph", "cluster",
+                  "initial_clusters", "refine_clusters", "relative_compactness",
+                  "relative_density", "star", "ws_quality"],
+    "components": ["CallWitness", "Component", "ComponentStats", "RelatednessLabels",
+                   "assemble", "component_stats", "precision"],
+    "graph_builder": ["ApiGraph", "GraphConfig", "build_graph", "read_edge_list",
+                      "write_dot", "write_edge_list"],
+    "metrics": ["CorpusMetrics", "MetricConfig", "PairAffinity", "QualityWeights",
+                "average_path_length", "call_dist", "call_freq", "call_weight",
+                "co_occur", "distance", "global_freq", "local_freq", "pair_distance",
+                "pair_weight", "quality", "weight"],
+    "pipeline": ["RunConfig", "run_pipeline"],
+    "pruner": ["prune", "prune_corpus"],
+    "report": ["build_evaluation", "build_report", "render_report_text"],
+    "synth": ["PlantSpec", "generate", "load_ground_truth", "write_generated"],
+    "trace_model": ["ApiClassifier", "CallNode", "CallTree", "MethodRef", "Origin",
+                    "PrunedTree", "TraceCorpus", "TraceParseError", "TraceStats",
+                    "classify", "load_corpus", "parse_trace_file", "serialize_tree",
+                    "tree_stats", "write_corpus"],
+}
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+class TestPackageNames:
+    @pytest.mark.parametrize("module, name", [(module, name)
+                                              for module, names in PUBLIC_NAMES.items()
+                                              for name in names])
+    def test_public_name_is_the_submodules_object(self, module, name):
+        namespace = {}
+        exec(f"from apicomp import {name}", namespace)
+        assert namespace[name] is getattr(importlib.import_module(f"apicomp.{module}"),
+                                          name)
+
+    def test_version_stays(self):
+        assert apicomp.__version__ == "0.1.0"
+
+    def test_unknown_name_raises(self):
+        with pytest.raises(AttributeError):
+            apicomp.no_such_name
+        with pytest.raises(ImportError):
+            exec("from apicomp import no_such_name", {})
+
+    def test_bare_import_loads_no_submodule(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, apicomp\n"
+             "print(sorted(m for m in sys.modules if m.startswith('apicomp.')))"],
+            env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True,
+            timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+
+@pytest.fixture
+def stages(tmp_path):
+    """Every stage output of a run over the 21-node example corpus."""
+    corpus_dir = write_corpus_dir(tmp_path, {"demo": {"s0": FIG_TREE_TEXT}})
+    classifier = tmp_path / "classifier.txt"
+    classifier.write_text("lib.\n", encoding="utf-8")
+    corpus, pruned = load_pruned(corpus_dir, classifier)
+    clusters = cluster(build_graph(pruned))
+    return {"corpus": corpus, "pruned": pruned, "clusters": clusters,
+            "components": assemble(clusters, pruned)}
+
+
+CONFIGS = [
+    QualityWeights(0.5, 1.0, 0.25),
+    MetricConfig("literal"),
+    GraphConfig(QualityWeights(1.0, 0.0, 1.0), 0.3, MetricConfig("literal")),
+    ClusterConfig("caption"),
+    RunConfig(Path("corpus"), Path("out"), Path("classifier.txt"),
+              edge_threshold=0.2, cluster_config=ClusterConfig("caption"), jobs=2),
+    ApiClassifier(("lib.", "org.")),
+]
+
+
+class TestRecordContracts:
+    @pytest.mark.parametrize("clone", [lambda x: pickle.loads(pickle.dumps(x)),
+                                       copy.deepcopy], ids=["pickle", "deepcopy"])
+    @pytest.mark.parametrize("key", ["corpus", "pruned", "clusters", "components"])
+    def test_stage_outputs_round_trip(self, stages, clone, key):
+        original = stages[key]
+        copied = clone(original)
+        assert copied == original
+        assert copied is not original
+
+    @pytest.mark.parametrize("clone", [lambda x: pickle.loads(pickle.dumps(x)),
+                                       copy.deepcopy], ids=["pickle", "deepcopy"])
+    def test_pruned_trees_stay_pruned(self, stages, clone):
+        copied = clone(stages["pruned"])
+        assert all(type(t) is PrunedTree for t in copied.all_trees())
+
+    @pytest.mark.parametrize("clone", [lambda x: pickle.loads(pickle.dumps(x)),
+                                       copy.deepcopy], ids=["pickle", "deepcopy"])
+    @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: type(c).__name__)
+    def test_configs_round_trip(self, clone, config):
+        copied = clone(config)
+        assert copied == config
+        assert type(copied) is type(config)
+
+    def test_components_built_with_four_arguments_share_no_witnesses(self):
+        a, b = MethodRef("x.C", "a"), MethodRef("x.C", "b")
+        first = Component(a, frozenset([a]), frozenset(["x.C"]), frozenset())
+        second = Component(b, frozenset([b]), frozenset(["x.C"]), frozenset())
+        first.required_witnesses[b] = CallWitness("app", "s0", a)
+        assert second.required_witnesses == {}
+
+    @pytest.mark.parametrize("record, field", [
+        (QualityWeights(), "lambda_freq"),
+        (MetricConfig(), "weight_formula"),
+        (GraphConfig(), "edge_threshold"),
+        (ClusterConfig(), "rc_comparison"),
+        (WsGraph(MethodRef("x.C", "a"), frozenset()), "center"),
+        (ApiClassifier(("lib.",)), "api_prefixes"),
+        (TraceStats(1, 1, 0, 1, 1, 1.0), "nodes"),
+        (CallWitness("app", "s0", MethodRef("x.C", "a")), "caller"),
+        (ComponentStats(0, 0.0, 0.0), "count"),
+        (Cluster(MethodRef("x.C", "a"), frozenset()), "members"),
+        (RelatednessLabels(frozenset()), "pairs"),
+    ], ids=lambda x: type(x).__name__ if not isinstance(x, str) else x)
+    def test_formerly_frozen_records_reject_assignment(self, record, field):
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+
+    def test_metric_config_keeps_the_class_constant(self):
+        assert MetricConfig.distance_pair_cap == MetricConfig().distance_pair_cap == 10_000
+        with pytest.raises(TypeError):
+            MetricConfig(distance_pair_cap=1)
+
+    @pytest.mark.parametrize("record", [
+        CallNode(MethodRef("x.C", "a")),
+        CallTree("app", "s0", CallNode(MethodRef("x.C", "a"))),
+        TraceCorpus({}),
+        RunConfig(Path("corpus"), Path("out")),
+        CoverState([], set()),
+        Component(MethodRef("x.C", "a"), frozenset(), frozenset(), frozenset()),
+    ], ids=lambda r: type(r).__name__)
+    def test_mutable_records_are_unhashable(self, record):
+        with pytest.raises(TypeError):
+            hash(record)
+
+    def test_tree_equality_is_field_wise_and_class_exact(self):
+        def node():
+            return CallNode(MethodRef("x.C", "a"), Origin.API,
+                            [CallNode(MethodRef("x.C", "b"), Origin.API)])
+
+        assert CallTree("app", "s0", node()) == CallTree("app", "s0", node())
+        assert CallTree("app", "s0", node()) != CallTree("app", "s1", node())
+        assert CallTree("app", "s0", node()) != PrunedTree("app", "s0", node())
+
+    def test_call_nodes_built_without_children_share_no_list(self):
+        first, second = CallNode(None), CallNode(None)
+        assert first.children == [] and first.children is not second.children
