@@ -226,7 +226,10 @@ def cmd_evaluate(args) -> int:
         raise ValueError(f"{report_path}: not valid JSON "
                          f"(line {exc.lineno} column {exc.colno})") from None
     labels = RelatednessLabels.load(args.labels)
-    evaluation = build_evaluation(report, labels)
+    try:
+        evaluation = build_evaluation(report, labels)
+    except ValueError as exc:
+        raise ValueError(f"{report_path}: {exc}") from None
     sys.stdout.write(render_evaluation_text(evaluation))
     out_dir = Path(args.out) if args.out else report_path.parent
     write_evaluation(evaluation, out_dir)

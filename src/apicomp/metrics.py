@@ -24,6 +24,7 @@ one int ``c * n + v``, which sorts the same way.
 from __future__ import annotations
 
 import itertools
+import sys
 from collections import namedtuple
 from functools import reduce
 from operator import add
@@ -89,11 +90,15 @@ class PairAffinity(NamedTuple):
     weight: float
 
 
-def left_sum(values) -> float:
-    """The floats added strictly left to right from 0.0, as a running ``+=``
-    adds them: what CPython 3.11's ``sum()`` gives and 3.12's compensated
-    ``sum()`` may not, so float totals do not depend on the Python version."""
-    return reduce(add, values, 0.0)
+if sys.version_info < (3, 12):
+    def left_sum(values) -> float:
+        """The floats added strictly left to right from 0.0, as ``+=`` adds
+        them: the builtin ``sum()`` below 3.12, ``reduce`` from 3.12 on, where
+        ``sum()`` compensates; so totals do not depend on the Python version."""
+        return sum(values, 0.0)
+else:
+    def left_sum(values) -> float:
+        return reduce(add, values, 0.0)
 
 
 def _check_pair(c: MethodRef, v: MethodRef) -> None:
@@ -106,12 +111,6 @@ def _check_set(methods) -> list[MethodRef]:
     if len(unique) < 2:
         raise ValueError("set metrics need at least 2 distinct methods")
     return unique
-
-
-def _closeness(mean_path: float, scale: float) -> float:
-    """1 - mean path / scale, clamped to [0, 1]; ``scale`` is twice the
-    tree depth."""
-    return min(1.0, max(0.0, 1.0 - mean_path / scale))
 
 
 class _TreeIndex:
@@ -211,12 +210,10 @@ class _TreeIndex:
         return sum(sums[j] for j in occ_v) / (len(self.occurrences[c]) * len(occ_v))
 
     def distance_score(self, c: int, v: int) -> float:
-        """1 - avg path / (2 * depth), clamped to [0, 1]; 0 when absent."""
-        if self.tree_depth == 0:
-            return 0.0
+        """1 - avg path / (2 * depth) for c != v, in [0, 1]; 0 when absent."""
         if not self.co_occur(c, v):
             return 0.0
-        return _closeness(self.average_path_length(c, v), 2.0 * self.tree_depth)
+        return 1.0 - self.average_path_length(c, v) / (2.0 * self.tree_depth)
 
     def weight_share(self, c: int, v: int) -> float:
         """Direct parent-child calls between c and v over all invocation edges."""
@@ -290,8 +287,9 @@ class CorpusMetrics:
                         occ_v = occurrences[v]
                         key = base + v
                         in_app[key] = in_app.get(key, 0) + 1
-                        app_dist[key] = app_dist.get(key, 0.0) + _closeness(
-                            sum(map(distance_sum, occ_v)) / (occ_c * len(occ_v)), scale)
+                        mean = sum(map(distance_sum, occ_v)) / (occ_c * len(occ_v))
+                        # Unclamped: c != v lie 1..2D edges apart; int / int rounds correctly.
+                        app_dist[key] = app_dist.get(key, 0.0) + (1.0 - mean / scale)
                 edge_total = ix.edge_total
                 for key, count in ix.direct_pairs.items():
                     shares[key] = shares.get(key, 0.0) + count / edge_total

@@ -218,9 +218,12 @@ def build_evaluation(report: dict, labels: RelatednessLabels) -> dict:
     rows = []
     total = 0.0
     for comp in report["components"]:
-        methods = frozenset(MethodRef.from_qualified(q)
-                            for q in comp["provided_interface"])
-        value = precision(methods, labels)
+        try:
+            methods = frozenset(MethodRef.from_qualified(q)
+                                for q in comp["provided_interface"])
+            value = precision(methods, labels)
+        except ValueError as exc:
+            raise ValueError(f"component {comp['id']!r}: {exc}") from None
         total += value
         rows.append({
             "id": comp["id"],

@@ -279,23 +279,23 @@ def parse_trace_file(text: str, app_id: str, scenario_id: str, *,
                      path: str | None = None) -> CallTree:
     """Parse one trace file into a call tree.
 
-    Nodes without an explicit API/APP column default to APPLICATION origin
-    until ``classify`` is applied.
+    A connector root is API, and nodes without an explicit API/APP column
+    are APPLICATION until ``classify`` is applied.
 
     Raises:
         TraceParseError: empty input, bad depth sequence, unparsable names.
     """
-    return _parse(text, app_id, scenario_id, path, {})
+    return _parse(text, app_id, scenario_id, path, {}, ApiClassifier(()), {})
 
 
 def _parse(text: str, app_id: str, scenario_id: str, path: str | None,
-           methods: dict[str, MethodRef]) -> CallTree:
-    """``parse_trace_file``, taking each method from ``methods`` (qualified
-    name to ``MethodRef``) and adding the names it has not seen, so callers
-    that share the dict share one ``MethodRef`` per name."""
-    root: CallNode | None = None
-    # Ancestor chain of the previous event as (depth, node) pairs.
-    chain: list[tuple[int, CallNode]] = []
+           methods: dict[str, MethodRef], classifier: ApiClassifier,
+           origins: dict[str, Origin]) -> CallTree:
+    """``parse_trace_file``, classifying each node as it is made. Callers
+    that share ``methods`` (qualified name to ``MethodRef``) and ``origins``
+    share one ``MethodRef`` per name and one verdict per class name."""
+    # The previous event and its ancestors: chain[d] is the one at depth d.
+    chain: list[CallNode] = []
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
@@ -319,19 +319,16 @@ def _parse(text: str, app_id: str, scenario_id: str, path: str | None,
         pinned: Origin | None = None
         if len(parts) >= 3:
             token = parts[2].strip()
-            if token == "API":
-                pinned = Origin.API
-            elif token == "APP":
-                pinned = Origin.APPLICATION
-            elif token:
+            if token not in ("", "API", "APP"):
                 raise fail(f"unknown origin override {token!r}")
+            pinned = Origin(token) if token else None
             if len(parts) > 3 and any(p.strip() for p in parts[3:]):
                 raise fail("unexpected trailing fields")
 
         if name == CONNECTOR_TOKEN:
-            if depth != 0 or root is not None:
+            if depth != 0 or chain:
                 raise fail("connector marker is only valid as the root event")
-            node = CallNode(None, Origin.API)
+            node = CallNode(None)
         else:
             method = methods.get(name)
             if method is None:
@@ -339,26 +336,24 @@ def _parse(text: str, app_id: str, scenario_id: str, path: str | None,
                     method = methods[name] = MethodRef.from_qualified(name)
                 except ValueError as exc:
                     raise fail(str(exc)) from None
-            node = CallNode(method, pinned or Origin.APPLICATION, pinned=pinned)
+            node = CallNode(method, pinned=pinned)
+        node.origin = _classified_origin(node, classifier, origins)
 
-        if root is None:
+        if not chain:
             if depth != 0:
                 raise fail(f"first event must have depth 0, got {depth}")
-            root = node
-            chain = [(0, node)]
-            continue
-        if depth == 0:
+        elif depth == 0:
             raise fail("second depth-0 event; a scenario has a single root")
-        while chain and chain[-1][0] >= depth:
-            chain.pop()
-        if not chain or chain[-1][0] != depth - 1:
+        elif depth > len(chain):
             raise fail(f"depth jump to {depth} with no open parent at depth {depth - 1}")
-        chain[-1][1].children.append(node)
-        chain.append((depth, node))
+        else:
+            chain[depth - 1].children.append(node)
+        del chain[depth:]
+        chain.append(node)
 
-    if root is None:
+    if not chain:
         raise TraceParseError("no call events in trace", path=path)
-    return CallTree(app_id, scenario_id, root)
+    return CallTree(app_id, scenario_id, chain[0])
 
 
 def serialize_tree(tree: CallTree) -> str:
@@ -380,8 +375,8 @@ def serialize_tree(tree: CallTree) -> str:
 
 def _classified_origin(node: CallNode, classifier: ApiClassifier,
                        origins: dict[str, Origin]) -> Origin:
-    """A node's origin; ``origins`` caches the classifier's verdict per
-    class name."""
+    """The origin rule of parsing and ``classify``: a connector root is API,
+    a pinned origin wins, else the classifier's verdict, cached in ``origins``."""
     if node.method is None:
         return Origin.API
     if node.pinned is not None:
@@ -396,23 +391,20 @@ def _classified_origin(node: CallNode, classifier: ApiClassifier,
 def classify(tree: CallTree, classifier: ApiClassifier) -> CallTree:
     """Return a copy with every node's origin recomputed from the classifier.
 
-    Pinned nodes keep their pinned origin; tree shape is unchanged and the
-    operation is idempotent. Each class name is matched against the
-    classifier once per tree.
+    ``load_corpus`` applies the same rule while parsing. Pinned nodes keep
+    their pinned origin; tree shape is unchanged and the operation is
+    idempotent. Each class name is matched once per tree.
     """
     origins: dict[str, Origin] = {}
-    new_root = CallNode(tree.root.method,
-                        _classified_origin(tree.root, classifier, origins),
-                        [], tree.root.pinned)
-    stack = [(tree.root, new_root)]
+    roots: list[CallNode] = []
+    stack = [(tree.root, roots)]
     while stack:
-        old, new = stack.pop()
-        for child in old.children:
-            copy = CallNode(child.method, _classified_origin(child, classifier, origins),
-                            [], child.pinned)
-            new.children.append(copy)
-            stack.append((child, copy))
-    return type(tree)(tree.app_id, tree.scenario_id, new_root)
+        old, siblings = stack.pop()
+        new = CallNode(old.method, _classified_origin(old, classifier, origins),
+                       [], old.pinned)
+        siblings.append(new)
+        stack.extend((child, new.children) for child in reversed(old.children))
+    return type(tree)(tree.app_id, tree.scenario_id, roots[0])
 
 
 def tree_stats(tree: CallTree) -> TraceStats:
@@ -457,7 +449,8 @@ def load_corpus(corpus_dir: str | Path, classifier: ApiClassifier | None = None,
                 _mapper=None) -> TraceCorpus:
     """Load a corpus directory; one subdirectory per app, ``*.trace`` scenarios.
 
-    When a classifier is given every tree is classified on load. Apps and
+    Each node is classified as it is parsed (see ``classify``); without a
+    classifier only connector roots and pinned nodes are API. Apps and
     scenarios are read in sorted directory order; an app directory without
     trace files is left out. All trees share one ``MethodRef`` per name.
     """
@@ -467,6 +460,7 @@ def load_corpus(corpus_dir: str | Path, classifier: ApiClassifier | None = None,
 
     trees: dict[str, list[CallTree]] = {}
     methods: dict[str, MethodRef] = {}
+    origins: dict[str, Origin] = {}
     for app_dir in sorted(p for p in corpus_dir.iterdir() if p.is_dir()):
         for trace_path in sorted(app_dir.glob("*.trace")):
             try:
@@ -474,10 +468,9 @@ def load_corpus(corpus_dir: str | Path, classifier: ApiClassifier | None = None,
             except UnicodeDecodeError as exc:
                 raise TraceParseError(f"not UTF-8 text ({exc.reason} at byte {exc.start})",
                                       path=str(trace_path)) from None
-            tree = _parse(text, app_dir.name, trace_path.stem, str(trace_path), methods)
-            if classifier is not None:
-                tree = classify(tree, classifier)
-            trees.setdefault(app_dir.name, []).append(tree)
+            trees.setdefault(app_dir.name, []).append(
+                _parse(text, app_dir.name, trace_path.stem, str(trace_path),
+                       methods, classifier or ApiClassifier(()), origins))
     return TraceCorpus(trees)
 
 

@@ -303,7 +303,27 @@ class TestEvaluate:
         labels_file.write_text("# none\n", encoding="utf-8")
         assert run_cli("evaluate", "--report", str(report_file),
                        "--labels", str(labels_file)) == 1
-        assert capsys.readouterr().err.startswith("apicomp: error: ")
+        assert capsys.readouterr().err.startswith(f"apicomp: error: {report_file}: ")
+        assert not (tmp_path / "evaluation.json").exists()
+
+    @pytest.mark.parametrize("interface, message", [
+        (["abc", "x.y"], "not a qualified method name: 'abc'"),
+        ([], "cannot score a component with an empty interface"),
+    ], ids=["bare-name", "empty-interface"])
+    def test_bad_component_names_report_and_component(self, tmp_path, capsys,
+                                                      interface, message):
+        report_file = tmp_path / "report.json"
+        report_file.write_text(json.dumps({
+            "schema": "apicomp-report/2",
+            "components": [{"id": 0, "center": "x.y", "provided_interface": ["x.y", "x.z"]},
+                           {"id": 1, "center": "x.y", "provided_interface": interface}],
+        }), encoding="utf-8")
+        labels_file = tmp_path / "labels.txt"
+        labels_file.write_text("# none\n", encoding="utf-8")
+        assert run_cli("evaluate", "--report", str(report_file),
+                       "--labels", str(labels_file)) == 1
+        assert capsys.readouterr().err == (
+            f"apicomp: error: {report_file}: component 1: {message}\n")
         assert not (tmp_path / "evaluation.json").exists()
 
     def test_malformed_json_report_names_the_file(self, tmp_path, capsys):

@@ -6,8 +6,9 @@ or form of a float reduction would pass them while still moving the last
 bit of an edge weight. These sha256s pin ``graph.tsv``, the cluster text,
 ``report.json``, the pruned traces and the metrics CSV exactly. They were
 recorded with CPython 3.11. Every float total is added left to right, by
-``metrics.left_sum`` or a running ``+=``, never by ``sum()``, whose float
-result is compensated from 3.12 on.
+``metrics.left_sum`` or a running ``+=``. ``left_sum`` is the builtin
+``sum()`` only below 3.12, where it adds left to right; from 3.12 on, where
+``sum()`` is compensated, it is ``functools.reduce``.
 """
 
 import hashlib

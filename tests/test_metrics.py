@@ -393,9 +393,10 @@ def pruned_corpora(draw):
 
 def per_pair_reduction(corpus: TraceCorpus, formula: str) -> dict:
     """The pair table as a per-pair scan reduces it: per app, the list of
-    the pair's ``distance_score`` in each tree containing it, then
+    the pair's distance score in each tree containing it, then
     ``left_sum``; per pair, the list of its nonzero weight shares in corpus
-    order, then ``left_sum``."""
+    order, then ``left_sum``. Each distance score is 1 - mean path / 2D
+    clamped to [0, 1], the clamp the kernel leaves out as a no-op."""
     names = sorted({n.method for t in corpus.all_trees() for n in t.method_nodes()})
     ids = {name: i for i, name in enumerate(names)}
     apps = len(corpus.trees)
@@ -405,7 +406,8 @@ def per_pair_reduction(corpus: TraceCorpus, formula: str) -> dict:
         for tree in trees:
             ix = _TreeIndex(tree, ids)
             for pair in itertools.combinations(sorted(ix.occurrences), 2):
-                in_app.setdefault(pair, []).append(ix.distance_score(*pair))
+                in_app.setdefault(pair, []).append(min(1.0, max(
+                    0.0, 1.0 - ix.average_path_length(*pair) / (2.0 * ix.tree_depth))))
                 share = ix.weight_share(*pair)
                 if share:
                     rows.setdefault(pair, [0.0, 0.0, 0, 0, []])[4].append(share)
@@ -432,11 +434,24 @@ def test_pair_kernel_is_bit_exact_to_the_per_pair_reduction(formula, corpus):
     assert all(type(row) is PairAffinity for row in engine.table.values())
 
 
+@given(tree=pruned_trees("app", "s"))
+@settings(max_examples=100, deadline=None)
+def test_distance_score_is_the_clamped_closeness(tree):
+    depth = tree.depth()
+    for c, v in itertools.combinations(_POOL, 2):
+        expected = (min(1.0, max(0.0, 1.0 - average_path_length(c, v, tree) / (2.0 * depth)))
+                    if co_occur(c, v, tree) else 0.0)
+        assert pair_distance(c, v, tree) == expected
+
+
 class TestLeftSum:
     def test_adds_left_to_right(self):
         # A compensated sum gives 1.0 here; strict left-to-right addition
         # loses the 1.0 against 1e16.
         assert left_sum([1e16, 1.0, -1e16]) == 0.0
+
+    def test_is_a_float_when_empty(self):
+        assert type(left_sum([])) is float
 
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_a_running_total(self, seed):

@@ -1,14 +1,17 @@
 import copy
 import pickle
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import bruteforce as bf
 from conftest import API_CLASSIFIER, FIG_TREE_TEXT, build_tree, m, write_corpus_dir
 
+from apicomp import trace_model
 from apicomp.trace_model import (ApiClassifier, CallNode, CallTree, MethodRef,
                                  Origin, TraceParseError, TraceStats, classify,
                                  load_corpus, parse_trace_file, serialize_tree,
@@ -260,6 +263,56 @@ def test_tree_stats_equals_the_three_walk_definition(tree, connector):
         min(counts, default=0), max(counts, default=0),
         sum(counts) / len(repetitions) if repetitions else 0.0)
     assert tree_stats(classified) == expected
+
+
+# -- classifying while loading, against classify ------------------------------
+
+_CLASSES = ["lib.Core", "lib.CoreX", "lib.Io", "libx.Util", "app.Main"]
+_CLASSIFIERS = [ApiClassifier(("",)),                 # empty prefix: all API
+                ApiClassifier(("zzz.",)),             # matches nothing
+                ApiClassifier(()),                    # no prefixes
+                ApiClassifier(("lib.", "lib.Core")),  # overlapping prefixes
+                ApiClassifier(("lib.Core", "app."))]
+
+
+@st.composite
+def trace_texts(draw):
+    """A trace file over few names, so names repeat; some lines pin API or
+    APP, and the root is sometimes a connector."""
+    lines = ["0\t<connector>"] if draw(st.booleans()) else []
+    depth = 0
+    for _ in range(draw(st.integers(1, 10))):
+        if lines:
+            depth = draw(st.integers(1, depth + 1))
+        name = f"{draw(st.sampled_from(_CLASSES))}.m{draw(st.integers(0, 1))}"
+        pin = draw(st.sampled_from(["", "", "\tAPI", "\tAPP"]))
+        lines.append(f"{depth}\t{name}{pin}")
+    return "\n".join(lines) + "\n"
+
+
+@given(files=st.dictionaries(st.sampled_from(["a", "b", "c"]),
+                             st.dictionaries(st.sampled_from(["s0", "s1", "s2"]),
+                                             trace_texts(), min_size=1),
+                             min_size=1),
+       classifier=st.sampled_from(_CLASSIFIERS))
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_load_corpus_classifies_as_classify_does(tmp_path, files, classifier):
+    corpus_dir = write_corpus_dir(Path(tempfile.mkdtemp(dir=tmp_path)), files)
+    loaded = load_corpus(corpus_dir, classifier)
+    raw = load_corpus(corpus_dir)
+    assert loaded.apps == raw.apps == sorted(files)
+    for app in raw.apps:
+        assert loaded.trees[app] == [classify(tree, classifier) for tree in raw.trees[app]]
+
+
+def test_load_corpus_makes_no_classify_pass(tmp_path, monkeypatch, example_tree):
+    def no_pass(tree, classifier):
+        raise AssertionError("load_corpus copied a tree to classify it")
+
+    monkeypatch.setattr(trace_model, "classify", no_pass)
+    corpus_dir = write_corpus_dir(tmp_path, {"demo": {"s0": FIG_TREE_TEXT}})
+    assert load_corpus(corpus_dir, API_CLASSIFIER).trees["demo"] == [example_tree]
 
 
 class TestCorpusIO:
