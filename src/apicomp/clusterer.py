@@ -22,13 +22,15 @@ higher degree and then by method name, so results are deterministic.
 
 Star qualities and the cover run on the graph's ``IntView``, whose vertex
 numbers follow name order, so comparing ints breaks ties as names would.
+The cover scores each distinct star once: methods always used together
+share one closed neighbourhood, hence one star.
 """
 
 from __future__ import annotations
 
 from collections import Counter, namedtuple
 from itertools import chain, repeat
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .graph_builder import ApiGraph, IntView
 from .metrics import left_sum
@@ -83,7 +85,7 @@ def star(graph: ApiGraph, v: MethodRef) -> WsGraph:
     return WsGraph(v, frozenset(graph.neighbors(v)))
 
 
-def _members_quality(members: list[int], view: IntView) -> float:
+def _members_quality(members: Sequence[int], view: IntView) -> float:
     """Average edge weight over all pairs of the sorted vertex ints, summed
     in ``combinations`` order, missing edges counting as 0; 0 below two
     members. The one star-quality kernel."""
@@ -150,13 +152,25 @@ def initial_clusters(graph: ApiGraph,
     relative density contributes 1.0 for every non-isolated vertex and the
     order is effectively decided by relative compactness. Isolated vertices
     rank last and become their own centers.
+
+    Vertices with the same closed neighbourhood N[v] (twins, such as
+    methods always used together) have the same star, so the star quality
+    and the rank term are computed once per distinct N[v]. The rank term is
+    exact for twins i and j: their stars score the same, so swapping i and
+    j between their satellite sets changes no comparison, and the sets
+    have the same size.
     """
     config = config or ClusterConfig()
     view = graph.int_view()
     adjacency = view.adjacency
-    qualities = [_star_quality(i, view) for i in range(len(adjacency))]
-    rq = [(_uncovered_share(sats, ()) + _compactness(sats, qualities, qualities[i], config))
-          / 2.0 for i, sats in enumerate(adjacency)]
+    closed = [tuple(sorted((i, *sats))) for i, sats in enumerate(adjacency)]
+    twin = {members: i for i, members in enumerate(closed)}  # one vertex per N[v]
+    quality = {members: _members_quality(members, view) for members in twin}
+    qualities = [quality[members] for members in closed]
+    rank = {members: (_uncovered_share(adjacency[i], ())
+                      + _compactness(adjacency[i], qualities, qualities[i], config)) / 2.0
+            for members, i in twin.items()}
+    rq = [rank[members] for members in closed]
     order = sorted(range(len(adjacency)),
                    key=lambda i: (-rq[i], -len(adjacency[i]), i))
 

@@ -41,24 +41,37 @@ class IntView(NamedTuple):
 class ApiGraph:
     """Undirected weighted graph over methods with deterministic ordering.
 
-    Vertices and adjacency lists are read in (class, method) order, from an
-    ``IntView`` built on first use and discarded by ``add_edge``, so every
-    traversal of the same graph yields the same sequence.
+    Every read goes through an ``IntView``, so vertices and adjacency lists
+    come in (class, method) order and every traversal of the same graph
+    yields the same sequence. The constructor and ``add_edge`` write a
+    ``MethodRef`` edge dict, from which the view is built on first read;
+    ``add_edge`` discards the view. A graph from ``build_graph`` starts
+    from its view, and ``add_edge`` first derives the dict from it.
     """
 
     def __init__(self, vertices: Iterable[MethodRef],
                  edges: dict[tuple[MethodRef, MethodRef], float] | None = None) -> None:
-        self._adjacency: dict[MethodRef, dict[MethodRef, float]] = {
+        self._adjacency: dict[MethodRef, dict[MethodRef, float]] | None = {
             v: {} for v in vertices}
         self._view: IntView | None = None
         for (u, v), w in (edges or {}).items():
             self.add_edge(u, v, w)
+
+    @classmethod
+    def _of_view(cls, view: IntView) -> "ApiGraph":
+        graph = cls.__new__(cls)
+        graph._adjacency, graph._view = None, view
+        return graph
 
     def add_edge(self, u: MethodRef, v: MethodRef, weight: float) -> None:
         if u == v:
             raise ValueError(f"self-loop on {u}")
         if not 0.0 <= weight <= 1.0:
             raise ValueError(f"edge weight must be in [0, 1], got {weight}")
+        if self._adjacency is None:
+            names, _, adjacency, weights = self._view
+            self._adjacency = {name: {names[j]: weights[i][j] for j in adjacency[i]}
+                               for i, name in enumerate(names)}
         self._view = None
         self._adjacency.setdefault(u, {})[v] = weight
         self._adjacency.setdefault(v, {})[u] = weight
@@ -77,21 +90,24 @@ class ApiGraph:
         return self.int_view().names
 
     def __contains__(self, v: MethodRef) -> bool:
-        return v in self._adjacency
+        return v in self.int_view().ids
 
     def __len__(self) -> int:
-        return len(self._adjacency)
+        return len(self.int_view().names)
 
     def neighbors(self, v: MethodRef) -> tuple[MethodRef, ...]:
         view = self.int_view()
         return tuple(view.names[i] for i in view.adjacency[view.ids[v]])
 
     def degree(self, v: MethodRef) -> int:
-        return len(self._adjacency[v])
+        view = self.int_view()
+        return len(view.adjacency[view.ids[v]])
 
     def edge_weight(self, u: MethodRef, v: MethodRef) -> float:
         """Weight of the edge u-v, or 0.0 when absent."""
-        return self._adjacency.get(u, {}).get(v, 0.0)
+        view = self.int_view()
+        iu, iv = view.ids.get(u), view.ids.get(v)
+        return 0.0 if iu is None or iv is None else view.weights[iu].get(iv, 0.0)
 
     def edges(self) -> Iterator[tuple[MethodRef, MethodRef, float]]:
         """All edges once, endpoints ordered, sorted."""
@@ -102,7 +118,7 @@ class ApiGraph:
                     yield names[u], names[v], weights[u][v]
 
     def edge_count(self) -> int:
-        return sum(map(len, self._adjacency.values())) // 2
+        return sum(map(len, self.int_view().adjacency)) // 2
 
 
 # _mapper: passed, and ignored, only by perfbench/traced.py; ROADMAP item 2 removes it.
@@ -112,21 +128,37 @@ def build_graph(corpus: TraceCorpus, config: GraphConfig | None = None,
 
     Only pairs that actually co-occur are scored (everything else would
     weigh 0 on frequency and weight anyway). Each scored pair's edge weight
-    is its two-method ``quality``, blended from its table row: over one
-    pair, ``call_freq``, ``call_dist`` and ``call_weight`` are exactly
-    ``(lfreq + gfreq) / 2``, ``distance`` and ``weight``.
+    is its two-method ``quality``, blended from its ``CorpusMetrics`` row:
+    over one pair, ``call_freq``, ``call_dist`` and ``call_weight`` are
+    exactly ``(lfreq + gfreq) / 2``, ``distance`` and ``weight``.
+
+    The rows go straight into the graph's ``IntView``, with the engine's
+    ``names``, ``ids`` and int objects. Rows come in sorted (c, v) order,
+    so each vertex receives its smaller neighbours, then its larger ones,
+    in ascending order, and the adjacency lists need no sort.
+
+    Raises ``ValueError`` when a kept edge's quality exceeds 1, which only
+    the ``literal`` weight formula can cause.
     """
     config = config or GraphConfig()
     if corpus.is_empty():
         return ApiGraph(())
     engine = CorpusMetrics(corpus, config.metrics)
-    names, blend = engine.names, config.weights.blend
-    graph = ApiGraph(names)
-    for (c, v), row in engine.table.items():
-        w = blend((row.lfreq + row.gfreq) / 2.0, row.distance, row.weight)
-        if w >= config.edge_threshold:
-            graph.add_edge(names[c], names[v], w)
-    return graph
+    names, blend, threshold = engine.names, config.weights.blend, config.edge_threshold
+    adjacency: list[list[int]] = [[] for _ in names]
+    weights: list[dict[int, float]] = [{} for _ in names]
+    for c, v, lfreq, gfreq, distance, weight in engine.rows():
+        w = blend((lfreq + gfreq) / 2.0, distance, weight)
+        if w >= threshold:
+            if w > 1.0:
+                raise ValueError(
+                    f"quality {w!r} of {names[c]} -- {names[v]} exceeds 1: the 'literal' "
+                    f"weight formula sums weight shares over all trees and divides by "
+                    f"the number of applications, so a pair's weight can exceed 1")
+            adjacency[c].append(v)
+            adjacency[v].append(c)
+            weights[c][v] = weights[v][c] = w
+    return ApiGraph._of_view(IntView(tuple(names), engine.ids, adjacency, weights))
 
 
 def write_edge_list(graph: ApiGraph, path: str | Path) -> None:

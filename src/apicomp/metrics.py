@@ -11,7 +11,10 @@ Three attributes score how strongly API methods belong together:
 
 Set-level variants average the pairwise values over all unordered pairs,
 and ``quality`` blends the three set-level attributes with configurable
-lambda weights. All results lie in [0, 1].
+lambda weights. All results lie in [0, 1], except under the ``literal``
+weight formula: its call weight sums shares over all trees and divides by
+the number of applications, so it, and a quality blended from it, can
+exceed 1.
 
 ``CorpusMetrics`` scores every co-occurring pair once, at construction, and
 is the implementation behind the module-level convenience functions; prefer
@@ -28,7 +31,7 @@ import sys
 from collections import namedtuple
 from functools import reduce
 from operator import add
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .trace_model import CallNode, CallTree, MethodRef, TraceCorpus
 
@@ -235,20 +238,23 @@ class CorpusMetrics:
     """Affinity evaluator over one pruned corpus.
 
     ``names`` holds the distinct methods in sorted order and ``ids`` their
-    positions; ``table`` maps each co-occurring pair of ids ``(c, v)``,
-    c < v, to its scores, in sorted pair order.
+    positions. ``rows()`` yields each co-occurring pair of ids c < v once,
+    in sorted pair order, with its four scores; ``table`` maps the same
+    pairs ``(c, v)`` to ``PairAffinity`` values, in the same order, built
+    from ``rows()`` the first time it is read.
 
     Construction walks the trees twice: once to number the methods, then
     once, apps in corpus order and trees in order, to score each tree: one
     ``_distance_sums`` per method c with a later partner v, each pair's
-    distance score and tree count into per-app accumulators keyed by the
-    int ``c * n + v``, and each direct-call pair's weight share into a
-    corpus-wide one. An app's accumulators fold into the pair totals when
-    the app ends. Every float total is a running ``+=`` from 0.0, in tree
-    then app order: the float CPython 3.11's ``sum()`` gives over the terms
-    a per-pair scan would add, less the exact 0.0 terms of trees without
-    the pair. So the accessors are table lookups; a pair that never
-    co-occurs scores 0.0 on all four.
+    tree count and distance score into a per-app ``[count, dist]`` keyed by
+    the int ``c * n + v``, and each direct-call pair's weight share into a
+    corpus-wide total. An app's entries fold into one accumulator row per
+    pair, ``[local, dist, apps, trees]``, when the app ends. Every float
+    total is a running ``+=`` in tree then app order, starting from its
+    first term (``0.0 + x == x``): the float CPython 3.11's ``sum()`` gives
+    over the terms a per-pair scan would add, less the exact 0.0 terms of
+    trees without the pair. So the accessors are table lookups; a pair that
+    never co-occurs scores 0.0 on all four.
     """
 
     _ABSENT = PairAffinity(0.0, 0.0, 0.0, 0.0)
@@ -257,22 +263,19 @@ class CorpusMetrics:
         if corpus.is_empty():
             raise ValueError("cannot evaluate metrics over an empty corpus")
         self.config = config or MetricConfig()
-        apps = len(corpus.trees)
         self.names: list[MethodRef] = sorted({node.method for tree in corpus.all_trees()
                                               for node in tree.method_nodes()})
         self.ids: dict[MethodRef, int] = {m: i for i, m in enumerate(self.names)}
+        self._apps = len(corpus.trees)
+        self._table: dict[tuple[int, int], PairAffinity] | None = None
         n = len(self.names)
         # Per pair key: the sums over apps of the app's share of trees
-        # containing the pair and of its mean distance score, the apps and
-        # trees containing it, and its summed weight shares.
-        local: dict[int, float] = {}
-        dist: dict[int, float] = {}
-        app_count: dict[int, int] = {}
-        tree_count: dict[int, int] = {}
+        # containing the pair and of its mean distance score, and the apps
+        # and trees containing it; separately, its summed weight shares.
+        acc: dict[int, list] = {}
         shares: dict[int, float] = {}
         for trees in corpus.trees.values():
-            in_app: dict[int, int] = {}  # trees of this app containing the pair
-            app_dist: dict[int, float] = {}  # their summed distance scores
+            in_app: dict[int, list] = {}  # [trees containing the pair, summed distance scores]
             for tree in trees:
                 ix = _TreeIndex(tree, self.ids)
                 occurrences = ix.occurrences
@@ -285,26 +288,50 @@ class CorpusMetrics:
                     base = c * n
                     for v in methods[i + 1:]:
                         occ_v = occurrences[v]
-                        key = base + v
-                        in_app[key] = in_app.get(key, 0) + 1
-                        mean = sum(map(distance_sum, occ_v)) / (occ_c * len(occ_v))
                         # Unclamped: c != v lie 1..2D edges apart; int / int rounds correctly.
-                        app_dist[key] = app_dist.get(key, 0.0) + (1.0 - mean / scale)
+                        score = 1.0 - sum(map(distance_sum, occ_v)) / (occ_c * len(occ_v)) / scale
+                        key = base + v
+                        entry = in_app.get(key)
+                        if entry is None:
+                            in_app[key] = [1, score]
+                        else:
+                            entry[0] += 1
+                            entry[1] += score
                 edge_total = ix.edge_total
                 for key, count in ix.direct_pairs.items():
                     shares[key] = shares.get(key, 0.0) + count / edge_total
             size = len(trees)
-            for key, count in in_app.items():
-                local[key] = local.get(key, 0.0) + count / size
-                dist[key] = dist.get(key, 0.0) + app_dist[key] / size
-                app_count[key] = app_count.get(key, 0) + 1
-                tree_count[key] = tree_count.get(key, 0) + count
+            for key, (count, app_dist) in in_app.items():
+                row = acc.get(key)
+                if row is None:
+                    acc[key] = [count / size, app_dist / size, 1, count]
+                else:
+                    row[0] += count / size
+                    row[1] += app_dist / size
+                    row[2] += 1
+                    row[3] += count
+        self._acc, self._shares = acc, shares
+
+    def rows(self) -> Iterator[tuple[int, int, float, float, float, float]]:
+        """``(c, v, lfreq, gfreq, distance, weight)`` for every co-occurring
+        pair of ids c < v, in sorted pair order; the ints are the objects
+        held in ``ids``. The one place the pair scores are finished."""
+        apps, shares, acc = self._apps, self._shares, self._acc
         literal = self.config.weight_formula == "literal"
-        self.table: dict[tuple[int, int], PairAffinity] = {}
-        for key in sorted(local):
-            self.table[divmod(key, n)] = PairAffinity(
-                local[key] / apps, app_count[key] / apps, dist[key] / apps,
-                shares.get(key, 0.0) / (apps if literal else tree_count[key]))
+        vertex = list(self.ids.values())
+        n = len(vertex)
+        for key in sorted(acc):
+            local, dist, app_count, tree_count = acc[key]
+            c, v = divmod(key, n)
+            yield (vertex[c], vertex[v], local / apps, app_count / apps, dist / apps,
+                   shares.get(key, 0.0) / (apps if literal else tree_count))
+
+    @property
+    def table(self) -> dict[tuple[int, int], PairAffinity]:
+        """Pair of ids ``(c, v)``, c < v, to its scores, in ``rows()`` order."""
+        if self._table is None:
+            self._table = {(c, v): PairAffinity(*scores) for c, v, *scores in self.rows()}
+        return self._table
 
     def methods(self) -> list[MethodRef]:
         """All distinct methods occurring anywhere, in stable sorted order."""

@@ -135,6 +135,19 @@ class TestExitCodes:
         assert "--jobs" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "graph"])
+    def test_literal_quality_above_one_names_pair_and_cause(self, tmp_path, capsys,
+                                                            command):
+        # One app, three trees with the one direct call x -> y: the literal
+        # weight is 3 shares / 1 app = 3.0, and the quality (1 + 0.5 + 3) / 3.
+        tree = "0\ta.A.x\n1\ta.A.y\n"
+        corpus = write_corpus_dir(tmp_path, {"app": {f"s{i}": tree for i in range(3)}})
+        assert run_cli(command, "--corpus", str(corpus), "--weight-formula", "literal",
+                       "--out", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("apicomp: error: quality 1.5 of a.A.x -- a.A.y exceeds 1")
+        assert "'literal' weight formula" in err
+
     def test_empty_corpus_is_distinct(self, tmp_path):
         empty = tmp_path / "corpus"
         empty.mkdir()

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from conftest import m
 
-from apicomp.clusterer import (Cluster, ClusterConfig, CoverState, WsGraph,
-                               cluster, initial_clusters, refine_clusters,
+from apicomp import clusterer
+from apicomp.clusterer import (RC_COMPARISONS, Cluster, ClusterConfig, CoverState,
+                               WsGraph, cluster, initial_clusters, refine_clusters,
                                relative_compactness, relative_density,
                                render_clusters, star, ws_quality)
 from apicomp.graph_builder import ApiGraph
@@ -284,6 +285,113 @@ def test_ws_quality_is_the_mean_over_sorted_pairs(seed, pick):
         expected = (sum(graph.edge_weight(a, b) for a, b in pairs) / len(pairs)
                     if pairs else 0.0)
         assert ws_quality(ws, graph) == expected
+
+
+def per_vertex_cover(graph: ApiGraph, config: ClusterConfig) -> CoverState:
+    """The cover with every vertex's star scored on its own: each star's
+    quality a running total over ``combinations`` of its sorted closed
+    neighbourhood, then each vertex's rank from its own satellites."""
+    view = graph.int_view()
+    adjacency, weights = view.adjacency, view.weights
+
+    def star_quality(i):
+        pairs = list(itertools.combinations(sorted((i, *adjacency[i])), 2))
+        total = 0.0
+        for a, b in pairs:
+            total += weights[a].get(b, 0.0)
+        return total / len(pairs) if pairs else 0.0
+
+    qualities = [star_quality(i) for i in range(len(adjacency))]
+
+    def rank(i):
+        satellites = adjacency[i]
+        if not satellites:
+            return 0.0
+        if config.rc_comparison == "prose":
+            count = sum(1 for s in satellites if qualities[s] < qualities[i])
+        else:
+            count = sum(1 for s in satellites if qualities[s] > qualities[i])
+        return (1.0 + count / len(satellites)) / 2.0
+
+    order = sorted(range(len(adjacency)), key=lambda i: (-rank(i), -len(adjacency[i]), i))
+    centers, covered = [], set()
+    for i in order:
+        if i not in covered or not covered.issuperset(adjacency[i]):
+            centers.append(view.names[i])
+            covered.add(i)
+            covered.update(adjacency[i])
+    return CoverState(centers, set(view.names))
+
+
+@st.composite
+def twin_graphs(draw):
+    """Random graphs, plus planted cliques and vertices that copy another
+    vertex's closed neighbourhood (both make twins), plus isolated vertices.
+    Weights repeat often, so star qualities tie."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+
+    def weight():
+        return rng.choice([0.0, 0.25, 0.5, 1.0, rng.random()])
+
+    n = draw(st.integers(0, 10))
+    p = draw(st.sampled_from([0.0, 0.2, 0.5, 1.0]))
+    edges = {(i, j): weight() for i in range(n) for j in range(i + 1, n) if rng.random() < p}
+    for _ in range(draw(st.integers(0, 3))):
+        size, base = rng.randint(2, 5), n
+        n += size
+        edges.update(((base + a, base + b), weight())
+                     for a in range(size) for b in range(a + 1, size))
+    for _ in range(draw(st.integers(0, 3))):
+        if n:
+            u, v = rng.randrange(n), n
+            n += 1
+            for x in {u} | {a if b == u else b for a, b in edges if u in (a, b)}:
+                edges[(x, v)] = weight()
+    n += draw(st.integers(0, 2))
+    vertices = [MethodRef("g.C", f"v{i:02d}") for i in range(n)]
+    graph = ApiGraph(vertices)
+    for (a, b), w in edges.items():
+        graph.add_edge(vertices[a], vertices[b], w)
+    return graph
+
+
+@pytest.mark.parametrize("rc_comparison", RC_COMPARISONS)
+@given(graph=twin_graphs())
+@settings(max_examples=150, deadline=None)
+def test_cover_equals_the_per_vertex_reference(rc_comparison, graph):
+    config = ClusterConfig(rc_comparison)
+    assert initial_clusters(graph, config) == per_vertex_cover(graph, config)
+
+
+def test_cover_equals_the_per_vertex_reference_on_twin_free_graphs():
+    twin_free = []
+    for seed in range(40):
+        graph = random_graph(seed)
+        closed = {tuple(sorted((i, *sats)))
+                  for i, sats in enumerate(graph.int_view().adjacency)}
+        if len(closed) == len(graph):
+            twin_free.append(graph)
+    assert len(twin_free) >= 10
+    for graph in twin_free:
+        for rc_comparison in RC_COMPARISONS:
+            config = ClusterConfig(rc_comparison)
+            assert initial_clusters(graph, config) == per_vertex_cover(graph, config)
+
+
+def test_each_distinct_star_is_scored_once(monkeypatch):
+    """k disjoint cliques have k distinct closed neighbourhoods, so the
+    star kernel runs k times, not once per vertex."""
+    sizes = [3, 5, 4, 6]
+    graph = graph_of([(f"k{k}_{a}", f"k{k}_{b}", 0.5)
+                      for k, size in enumerate(sizes)
+                      for a in range(size) for b in range(a + 1, size)])
+    calls = []
+    kernel = clusterer._members_quality
+    monkeypatch.setattr(clusterer, "_members_quality",
+                        lambda members, view: calls.append(members) or kernel(members, view))
+    state = initial_clusters(graph)
+    assert len(calls) == len(sizes)
+    assert len(state.centers) == len(sizes)
 
 
 def test_render_clusters_sorted_center_first():

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from conftest import build_corpus, m, random_corpus
 
 from apicomp.clusterer import Cluster, cluster
-from apicomp.graph_builder import (ApiGraph, GraphConfig, build_graph,
+from apicomp.graph_builder import (ApiGraph, GraphConfig, IntView, build_graph,
                                    read_edge_list, write_dot, write_edge_list)
 from apicomp.metrics import CorpusMetrics, QualityWeights
 from apicomp.trace_model import TraceCorpus
@@ -38,18 +38,34 @@ class TestApiGraph:
         assert graph.edge_count() == 2
 
     def test_add_edge_after_reads_refreshes_every_view(self):
+        added = ApiGraph([A, B])
+        added.add_edge(A, B, 0.5)
+        # A graph with no edge buffer until add_edge derives one.
+        built = build_graph(build_corpus({"a": [("lib.Ops.A", ["lib.Ops.B"])]}))
+        for graph in (added, built):
+            self._check_add_edge_after_reads(graph)
+
+    @staticmethod
+    def _check_add_edge_after_reads(graph):
         first = m("lib.Aaa.first")  # sorts before every other vertex
-        graph = ApiGraph([A, B])
-        graph.add_edge(A, B, 0.5)
+        ab = graph.edge_weight(A, B)
+        assert 0.0 < ab == graph.edge_weight(B, A) <= 1.0
+        assert graph.edge_weight(A, first) == graph.edge_weight(first, B) == 0.0
         assert graph.neighbors(B) == (A,)
         assert graph.vertices == (A, B)
+        assert (A in graph, B in graph, first in graph) == (True, True, False)
+        assert len(graph) == 2 and graph.edge_count() == 1
+        assert graph.degree(A) == graph.degree(B) == 1
         assert cluster(graph) == [Cluster(A, frozenset({A, B}))]
         graph.add_edge(first, B, 0.75)
         assert graph.vertices == (first, A, B)
         assert graph.neighbors(B) == (first, A)
         assert graph.edge_weight(first, B) == graph.edge_weight(B, first) == 0.75
-        assert list(graph.edges()) == [(first, B, 0.75), (A, B, 0.5)]
-        # Stars of first and A score 0.75 and 0.5, B's (0.75 + 0.5) / 3, so
+        assert graph.edge_weight(A, B) == ab
+        assert list(graph.edges()) == [(first, B, 0.75), (A, B, ab)]
+        assert first in graph and len(graph) == 3 and graph.edge_count() == 2
+        assert (graph.degree(first), graph.degree(A), graph.degree(B)) == (1, 1, 2)
+        # Stars of first and A score 0.75 and ab, B's (0.75 + ab) / 3, so
         # both leaves outrank B and first, sorting first, is taken first.
         assert cluster(graph) == [Cluster(first, frozenset({first, B})),
                                   Cluster(A, frozenset({A, B}))]
@@ -123,6 +139,55 @@ def test_edge_weight_is_the_two_method_quality(seed, lambda_dist, lambda_weight)
     assert graph.edge_count() == len(engine.co_occurring_pairs())
     for u, v, w in graph.edges():
         assert w == engine.quality((u, v), weights)
+
+
+def reference_view(corpus: TraceCorpus, config: GraphConfig) -> IntView:
+    """The view built by mutation: every vertex, then one ``add_edge`` per
+    kept table row, then the view derived from the edge dict."""
+    engine = CorpusMetrics(corpus, config.metrics)
+    graph = ApiGraph(engine.names)
+    for (c, v), row in engine.table.items():
+        w = config.weights.blend((row.lfreq + row.gfreq) / 2.0, row.distance, row.weight)
+        if w >= config.edge_threshold:
+            graph.add_edge(engine.names[c], engine.names[v], w)
+    return graph.int_view()
+
+
+WIDE_POOL = [f"lib.W{i // 10}.m{i % 10}" for i in range(1000)]
+
+
+def wide_corpus(seed: int) -> TraceCorpus:
+    return random_corpus(seed, WIDE_POOL, max_trees=40, max_nodes=30)
+
+
+@given(st.integers(0, 10_000), st.sampled_from([0.0, 0.2, 0.5]), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_build_graph_writes_the_view_add_edge_would_build(seed, threshold, wide):
+    """Bit for bit, in dict order too. Thresholds 0.2 and 0.5 leave isolated
+    vertices; ``wide`` corpora often have more than 256 methods, past the
+    ints CPython caches, so the identity check has teeth there."""
+    corpus = wide_corpus(seed) if wide else random_corpus(seed, max_trees=6)
+    config = GraphConfig(edge_threshold=threshold)
+    view = build_graph(corpus, config).int_view()
+    expected = reference_view(corpus, config)
+    assert view.names == expected.names
+    assert list(view.ids.items()) == list(expected.ids.items())
+    assert view.adjacency == expected.adjacency
+    assert ([[(v, w.hex()) for v, w in ws.items()] for ws in view.weights]
+            == [[(v, w.hex()) for v, w in ws.items()] for ws in expected.weights])
+    vertex = list(view.ids.values())
+    assert all(v is vertex[v] for row in view.adjacency for v in row)
+    assert all(v is vertex[v] for ws in view.weights for v in ws)
+
+
+def test_view_inputs_reach_uncached_ints_and_isolated_vertices():
+    """The corpora above do what the property test relies on."""
+    wide = build_graph(wide_corpus(0), GraphConfig(edge_threshold=0.2))
+    assert len(wide) > 256 and wide.edge_count() > 0
+    assert any(wide.degree(v) == 0 for v in wide.vertices)
+    small = [build_graph(random_corpus(seed, max_trees=6), GraphConfig(edge_threshold=0.5))
+             for seed in range(10)]
+    assert any(g.edge_count() and any(g.degree(v) == 0 for v in g.vertices) for g in small)
 
 
 def test_pair_table_is_in_sorted_pair_order():

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 import bruteforce as bf
 from conftest import build_corpus, build_tree, m, random_corpus, random_tree_spec
 
+from apicomp import graph_builder
+from apicomp.graph_builder import build_graph
 from apicomp.metrics import (CorpusMetrics, MetricConfig, PairAffinity,
                              QualityWeights, _TreeIndex, average_path_length,
                              call_dist, call_freq, call_weight, co_occur,
@@ -432,6 +434,36 @@ def test_pair_kernel_is_bit_exact_to_the_per_pair_reduction(formula, corpus):
     assert engine.table == reference
     assert list(engine.table) == list(reference)
     assert all(type(row) is PairAffinity for row in engine.table.values())
+
+
+@pytest.mark.parametrize("formula", ["example", "literal"])
+@given(corpus=pruned_corpora())
+@settings(max_examples=50, deadline=None)
+def test_rows_are_the_table_row_for_row(formula, corpus):
+    engine = CorpusMetrics(corpus, MetricConfig(weight_formula=formula))
+    rows = list(engine.rows())
+    assert rows == [(c, v, *scores) for (c, v), scores in engine.table.items()]
+    assert list(engine.rows()) == rows
+
+
+@given(corpus=pruned_corpora())
+@settings(max_examples=30, deadline=None)
+def test_table_is_built_on_first_read_after_build_graph(corpus):
+    engines = []
+
+    class Recorded(CorpusMetrics):
+        def __init__(self, *args) -> None:
+            super().__init__(*args)
+            engines.append(self)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graph_builder, "CorpusMetrics", Recorded)
+        graph = build_graph(corpus)
+    engine, = engines
+    assert engine._table is None  # build_graph read only the rows
+    assert engine.table == per_pair_reduction(corpus, "example")
+    assert list(engine.table) == list(per_pair_reduction(corpus, "example"))
+    assert graph.edge_count() == len(engine.table)
 
 
 @given(tree=pruned_trees("app", "s"))
