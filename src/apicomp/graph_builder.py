@@ -219,12 +219,15 @@ def read_edge_list(path: str | Path) -> ApiGraph:
 
 
 def write_dot(graph: ApiGraph, path: str | Path) -> None:
-    """Write a Graphviz rendering of the graph."""
+    """Write a Graphviz rendering of the graph; a `"` in a name is written `\\"`."""
+    def quoted(method: MethodRef) -> str:
+        return '"' + method.qualified.replace('"', '\\"') + '"'
+
     lines = ["graph api_methods {", "  node [shape=box];"]
     for v in graph.vertices:
         if graph.degree(v) == 0:
-            lines.append(f'  "{v.qualified}";')
+            lines.append(f'  {quoted(v)};')
     for u, v, w in graph.edges():
-        lines.append(f'  "{u.qualified}" -- "{v.qualified}" [label="{w:.3f}"];')
+        lines.append(f'  {quoted(u)} -- {quoted(v)} [label="{w:.3f}"];')
     lines.append("}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -17,11 +17,14 @@ the number of applications, so it, and a quality blended from it, can
 exceed 1.
 
 ``CorpusMetrics`` scores every co-occurring pair once, at construction, and
-is the implementation behind the module-level convenience functions; prefer
-it when evaluating many pairs over the same corpus. It numbers the distinct
-methods in name order, so every pair inside it is a pair of ints whose order
-is the order of the names; while scoring, a pair c < v of n methods is the
-one int ``c * n + v``, which sorts the same way.
+is the one place a pair score is computed: the corpus-level functions build
+one over their corpus, and the per-tree ``co_occur``, ``pair_distance`` and
+``pair_weight`` read one built over a one-tree corpus. Prefer it when
+evaluating many pairs over the same corpus. It numbers the distinct methods
+in name order, so every pair inside it is a pair of ints whose order is the
+order of the names; while scoring, a pair c < v of n methods is the one int
+``c * n + v``, which sorts the same way. ``average_path_length`` returns the
+exact mean path, not a score, from the same tree index.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from functools import reduce
 from operator import add
 from typing import Iterator, NamedTuple
 
-from .trace_model import CallNode, CallTree, MethodRef, TraceCorpus
+from .trace_model import CallTree, MethodRef, TraceCorpus
 
 WEIGHT_FORMULAS = ("example", "literal")
 
@@ -116,122 +119,63 @@ def _check_set(methods) -> list[MethodRef]:
     return unique
 
 
-class _TreeIndex:
-    """Flat arrays over one tree, numbered in pre-order: parents, depths and
-    method occurrences. Methods are the ints ``ids`` assigns them, in name
-    order, and a pair of methods c < v is the one int ``c * n + v``, n being
-    ``len(ids)``.
-
-    The connector root, when present, is indexed like any node so paths
-    between subtrees step through it, but it is never an occurrence and
-    its edges do not count as invocations.
-
-    Path lengths are never walked pair by pair: the exact total over all
-    occurrence pairs of two methods comes from subtree counts (see
-    ``_distance_sums``), in O(nodes) per method and tree however many
-    occurrence pairs there are. It is the integer total a walk over every
-    pair would give, so the mean is the same float.
+def _index(tree: CallTree, ids: dict[MethodRef, int]):
+    """``(parent, depth, occurrences, direct_pairs, edge_total)`` of one tree
+    numbered in pre-order: each node's parent and depth, each method id's
+    nodes, the direct calls between each pair c < v of distinct methods by
+    key ``c * n + v`` (n = ``len(ids)``), and all invocation edges, calls to
+    self included. A connector root is a node, so paths step through it,
+    but never an occurrence, and its edges are not invocations.
     """
-
-    __slots__ = ("n", "occurrences", "parent", "depth", "tree_depth",
-                 "edge_total", "direct_pairs", "_sums_method", "_sums")
-
-    def __init__(self, tree: CallTree, ids: dict[MethodRef, int]) -> None:
-        self.n = n = len(ids)
-        self.parent: list[int] = []
-        self.depth: list[int] = []
-        self.occurrences: dict[int, list[int]] = {}
-        # Pair key -> direct calls between two distinct methods; a method
-        # calling itself counts only in edge_total.
-        self.direct_pairs: dict[int, int] = {}
-        self.edge_total = 0
-        self._sums_method = -1
-        self._sums: list[int] = []
-
-        labels: list[int] = []  # -1 for the connector root
-        stack: list[tuple[CallNode, int, int]] = [(tree.root, -1, 0)]
-        while stack:
-            node, parent_idx, d = stack.pop()
-            idx = len(labels)
-            label = -1 if node.method is None else ids[node.method]
-            labels.append(label)
-            self.parent.append(parent_idx)
-            self.depth.append(d)
-            if label >= 0:
-                self.occurrences.setdefault(label, []).append(idx)
-                parent_label = labels[parent_idx] if parent_idx >= 0 else -1
-                if parent_label >= 0:
-                    self.edge_total += 1
-                    if parent_label != label:
-                        key = (parent_label * n + label if parent_label < label
-                               else label * n + parent_label)
-                        self.direct_pairs[key] = self.direct_pairs.get(key, 0) + 1
-            for child in reversed(node.children):
-                stack.append((child, idx, d + 1))
-
-        self.tree_depth = max(self.depth) if self.depth else 0
-
-    def co_occur(self, c: int, v: int) -> int:
-        return int(c in self.occurrences and v in self.occurrences)
-
-    def _distance_sums(self, c: int) -> list[int]:
-        """``S[y]``: the summed path length from every occurrence of c to y.
-
-        With ``below[y]`` the occurrences of c in y's subtree, stepping
-        from a parent to y moves ``below[y]`` occurrences one edge nearer
-        and the other ``|occ_c| - below[y]`` one edge farther. Only the
-        last method's sums are kept: pairs scored in ``combinations``
-        order share their first method, so memory stays one array.
-        """
-        if self._sums_method != c:
-            parent = self.parent
-            occ = self.occurrences[c]
-            below = [0] * len(parent)
-            for i in occ:
-                below[i] = 1
-            for y in range(len(parent) - 1, 0, -1):
-                if below[y]:
-                    below[parent[y]] += below[y]
-            sums = [sum(map(self.depth.__getitem__, occ))] * len(parent)
-            for y in range(1, len(parent)):
-                sums[y] = sums[parent[y]] + len(occ) - 2 * below[y]
-            self._sums_method, self._sums = c, sums
-        return self._sums
-
-    def average_path_length(self, c: int, v: int) -> float:
-        """Mean path length (in edges) over all occurrence pairs of c and v.
-
-        Falls back to twice the tree depth when either method is absent,
-        which drives the distance score to zero.
-        """
-        if not self.co_occur(c, v):
-            return 2.0 * self.tree_depth
-        if v < c:
-            c, v = v, c
-        occ_v = self.occurrences[v]
-        sums = self._distance_sums(c)
-        return sum(sums[j] for j in occ_v) / (len(self.occurrences[c]) * len(occ_v))
-
-    def distance_score(self, c: int, v: int) -> float:
-        """1 - avg path / (2 * depth) for c != v, in [0, 1]; 0 when absent."""
-        if not self.co_occur(c, v):
-            return 0.0
-        return 1.0 - self.average_path_length(c, v) / (2.0 * self.tree_depth)
-
-    def weight_share(self, c: int, v: int) -> float:
-        """Direct parent-child calls between c and v over all invocation edges."""
-        count = self.direct_pairs.get(c * self.n + v if c < v else v * self.n + c)
-        return count / self.edge_total if count else 0.0
+    n = len(ids)
+    parent: list[int] = []
+    depth: list[int] = []
+    labels: list[int] = []  # -1 for the connector root
+    occurrences: dict[int, list[int]] = {}
+    direct_pairs: dict[int, int] = {}
+    edge_total = 0
+    stack = [(tree.root, -1, 0)]
+    while stack:
+        node, parent_idx, d = stack.pop()
+        idx = len(labels)
+        label = -1 if node.method is None else ids[node.method]
+        labels.append(label)
+        parent.append(parent_idx)
+        depth.append(d)
+        if label >= 0:
+            occurrences.setdefault(label, []).append(idx)
+            parent_label = labels[parent_idx] if parent_idx >= 0 else -1
+            if parent_label >= 0:
+                edge_total += 1
+                if parent_label != label:
+                    key = (parent_label * n + label if parent_label < label
+                           else label * n + parent_label)
+                    direct_pairs[key] = direct_pairs.get(key, 0) + 1
+        for child in reversed(node.children):
+            stack.append((child, idx, d + 1))
+    return parent, depth, occurrences, direct_pairs, edge_total
 
 
-def _index_pair(c: MethodRef, v: MethodRef,
-                tree: CallTree) -> tuple[_TreeIndex, int, int]:
-    """A one-tree index numbering the tree's methods and c and v, with the
-    ids of c and v."""
-    _check_pair(c, v)
-    names = sorted({n.method for n in tree.method_nodes()} | {c, v})
-    ids = {name: i for i, name in enumerate(names)}
-    return _TreeIndex(tree, ids), ids[c], ids[v]
+def _distance_sums(parent: list[int], depth: list[int], occ: list[int]) -> list[int]:
+    """``S[y]``: the summed path length from every node in ``occ`` to y.
+
+    With ``below[y]`` the nodes of ``occ`` in y's subtree, stepping from a
+    parent to y moves ``below[y]`` of them one edge nearer and the other
+    ``len(occ) - below[y]`` one edge farther. So the exact total over all
+    occurrence pairs of two methods costs O(nodes) per method and tree
+    however many occurrence pairs there are; it is the integer total a walk
+    over every pair would give, so the mean is the same float.
+    """
+    below = [0] * len(parent)
+    for i in occ:
+        below[i] = 1
+    for y in range(len(parent) - 1, 0, -1):
+        if below[y]:
+            below[parent[y]] += below[y]
+    sums = [sum(map(depth.__getitem__, occ))] * len(parent)
+    for y in range(1, len(parent)):
+        sums[y] = sums[parent[y]] + len(occ) - 2 * below[y]
+    return sums
 
 
 class CorpusMetrics:
@@ -244,17 +188,19 @@ class CorpusMetrics:
     from ``rows()`` the first time it is read.
 
     Construction walks the trees twice: once to number the methods, then
-    once, apps in corpus order and trees in order, to score each tree: one
-    ``_distance_sums`` per method c with a later partner v, each pair's
-    tree count and distance score into a per-app ``[count, dist]`` keyed by
-    the int ``c * n + v``, and each direct-call pair's weight share into a
-    corpus-wide total. An app's entries fold into one accumulator row per
-    pair, ``[local, dist, apps, trees]``, when the app ends. Every float
-    total is a running ``+=`` in tree then app order, starting from its
-    first term (``0.0 + x == x``): the float CPython 3.11's ``sum()`` gives
-    over the terms a per-pair scan would add, less the exact 0.0 terms of
-    trees without the pair. So the accessors are table lookups; a pair that
-    never co-occurs scores 0.0 on all four.
+    once, apps in corpus order and trees in order, to score each tree from
+    its ``_index``: one ``_distance_sums`` per method c with a later partner
+    v, each pair's tree count and distance score into a per-app ``[count,
+    dist]`` keyed by the int ``c * n + v``, and each direct-call pair's
+    weight share into a corpus-wide total. An app's entries fold into one
+    accumulator row per pair, ``[local, dist, apps, trees]``, when the app
+    ends. Every float total is a running ``+=`` in tree then app order,
+    starting from its first term (``0.0 + x == x``): the float CPython
+    3.11's ``sum()`` gives over the terms a per-pair scan would add, less
+    the exact 0.0 terms of trees without the pair. So the accessors are
+    table lookups; a pair that never co-occurs scores 0.0 on all four. Over
+    a one-tree corpus each total is its one term divided by 1, so the scores
+    are that tree's own, as the per-tree functions return them.
     """
 
     _ABSENT = PairAffinity(0.0, 0.0, 0.0, 0.0)
@@ -277,13 +223,12 @@ class CorpusMetrics:
         for trees in corpus.trees.values():
             in_app: dict[int, list] = {}  # [trees containing the pair, summed distance scores]
             for tree in trees:
-                ix = _TreeIndex(tree, self.ids)
-                occurrences = ix.occurrences
+                parent, depth, occurrences, direct_pairs, edge_total = _index(tree, self.ids)
                 methods = sorted(occurrences)
-                scale = 2.0 * ix.tree_depth
+                scale = 2.0 * max(depth)
                 for i in range(len(methods) - 1):
                     c = methods[i]
-                    distance_sum = ix._distance_sums(c).__getitem__
+                    distance_sum = _distance_sums(parent, depth, occurrences[c]).__getitem__
                     occ_c = len(occurrences[c])
                     base = c * n
                     for v in methods[i + 1:]:
@@ -297,8 +242,7 @@ class CorpusMetrics:
                         else:
                             entry[0] += 1
                             entry[1] += score
-                edge_total = ix.edge_total
-                for key, count in ix.direct_pairs.items():
+                for key, count in direct_pairs.items():
                     shares[key] = shares.get(key, 0.0) + count / edge_total
             size = len(trees)
             for key, (count, app_dist) in in_app.items():
@@ -397,29 +341,41 @@ class CorpusMetrics:
 
 
 # -- per-tree operations -----------------------------------------------------
+# A one-tree corpus has one app of one tree, so each of its totals is one
+# term divided by 1 (``0.0 + x == x``, ``x / 1 == x``): its pair scores are
+# the tree's own, bit for bit.
+
+def _tree_affinity(c: MethodRef, v: MethodRef, tree: CallTree) -> PairAffinity:
+    return CorpusMetrics(TraceCorpus({tree.app_id: [tree]})).pair_affinity(c, v)
+
 
 def co_occur(c: MethodRef, v: MethodRef, tree: CallTree) -> int:
     """1 iff both methods label at least one node each of the tree."""
-    ix, ic, iv = _index_pair(c, v, tree)
-    return ix.co_occur(ic, iv)
+    return int(_tree_affinity(c, v, tree).gfreq)
 
 
 def average_path_length(c: MethodRef, v: MethodRef, tree: CallTree) -> float:
-    """Mean tree path length in edges over all occurrence pairs of c and v."""
-    ix, ic, iv = _index_pair(c, v, tree)
-    return ix.average_path_length(ic, iv)
+    """Mean tree path length in edges over all occurrence pairs of c and v;
+    twice the tree depth, which scores 0, when either is absent."""
+    _check_pair(c, v)
+    ids = {name: i for i, name in enumerate(sorted({n.method for n in tree.method_nodes()}))}
+    parent, depth, occurrences, _, _ = _index(tree, ids)
+    if c not in ids or v not in ids:
+        return 2.0 * max(depth)
+    occ_c, occ_v = occurrences[ids[c]], occurrences[ids[v]]
+    sums = _distance_sums(parent, depth, occ_c)
+    return sum(map(sums.__getitem__, occ_v)) / (len(occ_c) * len(occ_v))
 
 
 def pair_distance(c: MethodRef, v: MethodRef, tree: CallTree) -> float:
-    """Depth-normalized closeness of the pair in one tree, in [0, 1]."""
-    ix, ic, iv = _index_pair(c, v, tree)
-    return ix.distance_score(ic, iv)
+    """1 - mean path length / (2 * tree depth) in one tree, in [0, 1]; 0 when
+    either method is absent."""
+    return _tree_affinity(c, v, tree).distance
 
 
 def pair_weight(c: MethodRef, v: MethodRef, tree: CallTree) -> float:
     """Share of the tree's invocation edges directly linking c and v."""
-    ix, ic, iv = _index_pair(c, v, tree)
-    return ix.weight_share(ic, iv)
+    return _tree_affinity(c, v, tree).weight
 
 
 # -- corpus-level convenience wrappers ---------------------------------------

@@ -296,24 +296,24 @@ def _parse(text: str, app_id: str, scenario_id: str, path: str | None,
     share one ``MethodRef`` per name and one verdict per class name."""
     # The previous event and its ancestors: chain[d] is the one at depth d.
     chain: list[CallNode] = []
+    line_no = 0
+
+    def fail(message: str) -> TraceParseError:
+        return TraceParseError(message, path=path, line_no=line_no)
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
             continue
 
-        def fail(message: str) -> TraceParseError:
-            return TraceParseError(message, path=path, line_no=line_no)
-
         parts = raw.split("\t")
         if len(parts) < 2:
             raise fail("expected <depth><TAB><class.method>")
-        try:
-            depth = int(parts[0].strip())
-        except ValueError:
-            raise fail(f"invalid depth {parts[0].strip()!r}") from None
-        if depth < 0:
-            raise fail(f"negative depth {depth}")
+        token = parts[0].strip()
+        # ASCII digits only: int() would also take "1_0", "+1" and "٠".
+        if not (token.isascii() and token.isdigit()):
+            raise fail(f"invalid depth {token!r}")
+        depth = int(token)
 
         name = parts[1].strip()
         pinned: Origin | None = None

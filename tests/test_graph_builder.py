@@ -223,10 +223,21 @@ class TestGraphFiles:
         graph.add_edge(A, B, 0.5)
         path = tmp_path / "graph.dot"
         write_dot(graph, path)
-        text = path.read_text()
-        assert text.startswith("graph")
-        assert "lib.X.lonely" in text
-        assert '"lib.Ops.A" -- "lib.Ops.B"' in text
+        assert path.read_text(encoding="utf-8") == (
+            'graph api_methods {\n  node [shape=box];\n  "lib.X.lonely";\n'
+            '  "lib.Ops.A" -- "lib.Ops.B" [label="0.500"];\n}\n')
+
+    def test_dot_escapes_quotes_in_names(self, tmp_path):
+        quote = m('lib.A.x"y')
+        graph = ApiGraph([m('lib.B."lonely"')])
+        graph.add_edge(quote, m("lib.A.z"), 0.5)
+        path = tmp_path / "graph.dot"
+        write_dot(graph, path)
+        assert path.read_text(encoding="utf-8").splitlines()[2:] == [
+            '  "lib.B.\\"lonely\\"";',
+            '  "lib.A.x\\"y" -- "lib.A.z" [label="0.500"];',
+            "}",
+        ]
 
     def test_read_rejects_malformed_lines(self, tmp_path):
         path = tmp_path / "graph.tsv"

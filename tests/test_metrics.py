@@ -11,7 +11,7 @@ from conftest import build_corpus, build_tree, m, random_corpus, random_tree_spe
 from apicomp import graph_builder
 from apicomp.graph_builder import build_graph
 from apicomp.metrics import (CorpusMetrics, MetricConfig, PairAffinity,
-                             QualityWeights, _TreeIndex, average_path_length,
+                             QualityWeights, average_path_length,
                              call_dist, call_freq, call_weight, co_occur,
                              distance, global_freq, left_sum, local_freq,
                              pair_distance, pair_weight, quality, weight)
@@ -117,8 +117,8 @@ class TestDistance:
         spec = ("lib.O.a", [("lib.O.b", ["lib.O.c"])])
         corpus = build_corpus({"a": [spec]})
         tree = corpus.trees["a"][0]
-        assert distance(m("lib.O.a"), m("lib.O.c"), corpus) == pytest.approx(
-            pair_distance(m("lib.O.a"), m("lib.O.c"), tree), abs=TOL)
+        assert distance(m("lib.O.a"), m("lib.O.c"), corpus) == \
+            pair_distance(m("lib.O.a"), m("lib.O.c"), tree)
 
     def test_call_dist_worked_value(self, worked_corpus):
         assert call_dist([D, E], worked_corpus) == pytest.approx(4 / 9, abs=TOL)
@@ -394,23 +394,23 @@ def pruned_corpora(draw):
 
 
 def per_pair_reduction(corpus: TraceCorpus, formula: str) -> dict:
-    """The pair table as a per-pair scan reduces it: per app, the list of
-    the pair's distance score in each tree containing it, then
-    ``left_sum``; per pair, the list of its nonzero weight shares in corpus
-    order, then ``left_sum``. Each distance score is 1 - mean path / 2D
-    clamped to [0, 1], the clamp the kernel leaves out as a no-op."""
-    names = sorted({n.method for t in corpus.all_trees() for n in t.method_nodes()})
+    """The pair table as a per-pair scan of the brute-force oracle reduces
+    it: per app, the list of the pair's ``bf.dis`` in each tree containing
+    it, then ``left_sum``; per pair, the list of its nonzero ``bf.wei``
+    shares in corpus order, then ``left_sum``. Each per-tree term divides
+    the same integers the kernel divides, so it is the same float, but no
+    tree walk, path length or edge count is shared with the kernel."""
+    names = sorted({n for t in corpus.all_trees() for n in bf.methods_in(t)})
     ids = {name: i for i, name in enumerate(names)}
     apps = len(corpus.trees)
     rows: dict = {}  # pair -> [local, dist, apps, trees, shares]
     for trees in corpus.trees.values():
         in_app: dict = {}
         for tree in trees:
-            ix = _TreeIndex(tree, ids)
-            for pair in itertools.combinations(sorted(ix.occurrences), 2):
-                in_app.setdefault(pair, []).append(min(1.0, max(
-                    0.0, 1.0 - ix.average_path_length(*pair) / (2.0 * ix.tree_depth))))
-                share = ix.weight_share(*pair)
+            for c, v in itertools.combinations(sorted(bf.methods_in(tree)), 2):
+                pair = (ids[c], ids[v])
+                in_app.setdefault(pair, []).append(bf.dis(c, v, tree))
+                share = bf.wei(c, v, tree)
                 if share:
                     rows.setdefault(pair, [0.0, 0.0, 0, 0, []])[4].append(share)
         for pair, scores in in_app.items():
@@ -469,11 +469,17 @@ def test_table_is_built_on_first_read_after_build_graph(corpus):
 @given(tree=pruned_trees("app", "s"))
 @settings(max_examples=100, deadline=None)
 def test_distance_score_is_the_clamped_closeness(tree):
+    """The per-tree functions equal the brute-force oracle exactly, in both
+    argument orders, connector roots and repeated methods included."""
     depth = tree.depth()
-    for c, v in itertools.combinations(_POOL, 2):
+    for c, v in itertools.permutations(_POOL, 2):
         expected = (min(1.0, max(0.0, 1.0 - average_path_length(c, v, tree) / (2.0 * depth)))
                     if co_occur(c, v, tree) else 0.0)
         assert pair_distance(c, v, tree) == expected
+        assert co_occur(c, v, tree) == bf.co_occur(c, v, tree)
+        assert pair_distance(c, v, tree) == bf.dis(c, v, tree)
+        assert pair_weight(c, v, tree) == bf.wei(c, v, tree)
+        assert average_path_length(c, v, tree) == bf.avg_distance(c, v, tree)
 
 
 class TestLeftSum:

@@ -6,10 +6,12 @@ what callers may rely on: every public name, pickling and deep copies,
 immutability of the configs and value records, and unhashable trees.
 """
 
+import ast
 import copy
 import importlib
 import os
 import pickle
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -184,3 +186,25 @@ class TestRecordContracts:
     def test_call_nodes_built_without_children_share_no_list(self):
         first, second = CallNode(None), CallNode(None)
         assert first.children == [] and first.children is not second.children
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _declared_floor() -> tuple[int, int]:
+    """``(major, minor)`` from the ``requires-python = ">=X.Y"`` line of
+    pyproject.toml, read with a regex: ``tomllib`` is not in 3.10."""
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    found = re.search(r'^requires-python\s*=\s*">=\s*(\d+)\.(\d+)', text, re.MULTILINE)
+    assert found, "pyproject.toml declares no requires-python floor"
+    return int(found[1]), int(found[2])
+
+
+@pytest.mark.parametrize("path", sorted(
+    [*(ROOT / "src" / "apicomp").glob("*.py"), *(ROOT / "tests").glob("*.py")]),
+    ids=lambda path: f"{path.parent.name}/{path.name}")
+def test_sources_parse_at_the_declared_python_floor(path):
+    """Every module parses with the grammar of the oldest Python that
+    pyproject.toml accepts. This checks syntax only: a stdlib module or
+    function newer than the floor still passes."""
+    ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=_declared_floor())

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import re
 import tempfile
 from collections import Counter
 from pathlib import Path
@@ -109,6 +110,13 @@ class TestParse:
             parse_trace_file("x\ta.App.main\n", "app", "s")
         with pytest.raises(TraceParseError):
             parse_trace_file("0 a.App.main\n", "app", "s")
+        # int() takes these; a depth is ASCII digits only.
+        for depth in ("0_0", "+0", "\u0660", "-1"):
+            with pytest.raises(TraceParseError, match=re.escape(f"invalid depth '{depth}'")):
+                parse_trace_file(f"{depth}\ta.App.main\n", "app", "s")
+        with pytest.raises(TraceParseError, match="invalid depth '1_0'") as info:
+            parse_trace_file("0\ta.App.main\n1_0\tlib.A.y\n", "app", "s")
+        assert info.value.line_no == 2
 
     def test_comments_and_blank_lines_are_skipped(self):
         text = "# header\n\n0\ta.App.main\n# middle\n1\tapi.Log.info\n"
