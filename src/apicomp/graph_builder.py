@@ -219,9 +219,10 @@ def read_edge_list(path: str | Path) -> ApiGraph:
 
 
 def write_dot(graph: ApiGraph, path: str | Path) -> None:
-    """Write a Graphviz rendering of the graph; a `"` in a name is written `\\"`."""
+    """Write a Graphviz rendering of the graph. A name is a quoted ID with
+    `\\` written `\\\\` and `"` written `\\"`; other names keep their bytes."""
     def quoted(method: MethodRef) -> str:
-        return '"' + method.qualified.replace('"', '\\"') + '"'
+        return '"' + method.qualified.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
     lines = ["graph api_methods {", "  node [shape=box];"]
     for v in graph.vertices:

@@ -23,8 +23,9 @@ one over their corpus, and the per-tree ``co_occur``, ``pair_distance`` and
 evaluating many pairs over the same corpus. It numbers the distinct methods
 in name order, so every pair inside it is a pair of ints whose order is the
 order of the names; while scoring, a pair c < v of n methods is the one int
-``c * n + v``, which sorts the same way. ``average_path_length`` returns the
-exact mean path, not a score, from the same tree index.
+``c * n + v``, which sorts the same way. A tree's distance totals, all its
+pairs at once, come from one ``_pair_distance_totals``; ``average_path_length``
+returns the exact mean path, not a score, from the same totals.
 """
 
 from __future__ import annotations
@@ -156,26 +157,58 @@ def _index(tree: CallTree, ids: dict[MethodRef, int]):
     return parent, depth, occurrences, direct_pairs, edge_total
 
 
-def _distance_sums(parent: list[int], depth: list[int], occ: list[int]) -> list[int]:
-    """``S[y]``: the summed path length from every node in ``occ`` to y.
+# memoryview formats that read one lane natively, by lane width in bytes.
+_LANE_FORMATS = {memoryview(bytes(8)).cast(code).itemsize: code for code in "BHIQ"}
 
-    With ``below[y]`` the nodes of ``occ`` in y's subtree, stepping from a
-    parent to y moves ``below[y]`` of them one edge nearer and the other
-    ``len(occ) - below[y]`` one edge farther. So the exact total over all
-    occurrence pairs of two methods costs O(nodes) per method and tree
-    however many occurrence pairs there are; it is the integer total a walk
-    over every pair would give, so the mean is the same float.
+
+def _pair_distance_totals(parent: list[int], depth: list[int],
+                          occurrences: dict[int, list[int]]):
+    """Yield ``(c, v, total, pairs)`` for every pair c < v of the methods in
+    ``occurrences``, in sorted order: the exact integer sum of the path
+    lengths over all ``pairs`` occurrence pairs, so the mean is one division.
+
+    dist(a, b) = depth(a) + depth(b) - 2 * depth(lca(a, b)). Each node's int
+    packs a count per method into lanes that hold N * N * D (N nodes, depth
+    D), so no lane carries into the next. Bottom-up over the pre-order
+    ``parent``, they are subtree counts; top-down, with the root reset to 0,
+    sums over the node's non-root ancestors and itself. Lane v of the sum
+    over c's nodes is then the pair's summed depth(lca), read with c's other
+    lanes from one ``to_bytes``. A tree costs O(nodes) big-int adds and O(1)
+    per pair.
     """
-    below = [0] * len(parent)
-    for i in occ:
-        below[i] = 1
-    for y in range(len(parent) - 1, 0, -1):
-        if below[y]:
-            below[parent[y]] += below[y]
-    sums = [sum(map(depth.__getitem__, occ))] * len(parent)
-    for y in range(1, len(parent)):
-        sums[y] = sums[parent[y]] + len(occ) - 2 * below[y]
-    return sums
+    methods = sorted(occurrences)
+    k = len(methods)
+    if k < 2:
+        return
+    n = len(parent)
+    # The fewest whole bytes that hold N * N * D, rounded up to a native width.
+    needed = ((n * n * max(depth)).bit_length() + 7) // 8
+    lane_bytes = next((width for width in _LANE_FORMATS if width >= needed), needed)
+    code = _LANE_FORMATS.get(lane_bytes)
+    packed = [0] * n
+    unit = 1
+    for method in methods:
+        for node in occurrences[method]:
+            packed[node] = unit
+        unit <<= 8 * lane_bytes
+    for y in range(n - 1, 0, -1):
+        packed[parent[y]] += packed[y]
+    packed[0] = 0
+    for y in range(1, n):
+        packed[y] += packed[parent[y]]
+    occ = [occurrences[method] for method in methods]
+    sizes = list(map(len, occ))
+    depth_sums = [sum(map(depth.__getitem__, nodes)) for nodes in occ]
+    span, order, node_lanes = k * lane_bytes, sys.byteorder, packed.__getitem__
+    for i in range(k - 1):
+        c, size_c, depth_c = methods[i], sizes[i], depth_sums[i]
+        data = sum(map(node_lanes, occ[i])).to_bytes(span, order)
+        lcas = (memoryview(data).cast(code).tolist() if code else
+                [int.from_bytes(data[at:at + lane_bytes], order)
+                 for at in range(0, span, lane_bytes)])
+        for v, size_v, depth_v, lca in zip(methods[i + 1:], sizes[i + 1:],
+                                           depth_sums[i + 1:], lcas[i + 1:]):
+            yield c, v, size_v * depth_c + size_c * depth_v - 2 * lca, size_c * size_v
 
 
 class CorpusMetrics:
@@ -189,18 +222,19 @@ class CorpusMetrics:
 
     Construction walks the trees twice: once to number the methods, then
     once, apps in corpus order and trees in order, to score each tree from
-    its ``_index``: one ``_distance_sums`` per method c with a later partner
-    v, each pair's tree count and distance score into a per-app ``[count,
-    dist]`` keyed by the int ``c * n + v``, and each direct-call pair's
-    weight share into a corpus-wide total. An app's entries fold into one
-    accumulator row per pair, ``[local, dist, apps, trees]``, when the app
-    ends. Every float total is a running ``+=`` in tree then app order,
-    starting from its first term (``0.0 + x == x``): the float CPython
-    3.11's ``sum()`` gives over the terms a per-pair scan would add, less
-    the exact 0.0 terms of trees without the pair. So the accessors are
-    table lookups; a pair that never co-occurs scores 0.0 on all four. Over
-    a one-tree corpus each total is its one term divided by 1, so the scores
-    are that tree's own, as the per-tree functions return them.
+    its ``_index`` and ``_pair_distance_totals``: each pair c < v's tree
+    count and distance score, ``1 - total / pairs / (2 * depth)``, into a
+    per-app ``[count, dist]`` keyed by the int ``c * n + v``, and each
+    direct-call pair's weight share into a corpus-wide total. An app's
+    entries fold into one accumulator row per pair, ``[local, dist, apps,
+    trees]``, when the app ends. Every float total is a running ``+=`` in
+    tree then app order, starting from its first term (``0.0 + x == x``):
+    the float CPython 3.11's ``sum()`` gives over the terms a per-pair scan
+    would add, less the exact 0.0 terms of trees without the pair. So the
+    accessors are table lookups; a pair that never co-occurs scores 0.0 on
+    all four. Over a one-tree corpus each total is its one term divided by
+    1, so the scores are that tree's own, as the per-tree functions return
+    them.
     """
 
     _ABSENT = PairAffinity(0.0, 0.0, 0.0, 0.0)
@@ -224,24 +258,17 @@ class CorpusMetrics:
             in_app: dict[int, list] = {}  # [trees containing the pair, summed distance scores]
             for tree in trees:
                 parent, depth, occurrences, direct_pairs, edge_total = _index(tree, self.ids)
-                methods = sorted(occurrences)
                 scale = 2.0 * max(depth)
-                for i in range(len(methods) - 1):
-                    c = methods[i]
-                    distance_sum = _distance_sums(parent, depth, occurrences[c]).__getitem__
-                    occ_c = len(occurrences[c])
-                    base = c * n
-                    for v in methods[i + 1:]:
-                        occ_v = occurrences[v]
-                        # Unclamped: c != v lie 1..2D edges apart; int / int rounds correctly.
-                        score = 1.0 - sum(map(distance_sum, occ_v)) / (occ_c * len(occ_v)) / scale
-                        key = base + v
-                        entry = in_app.get(key)
-                        if entry is None:
-                            in_app[key] = [1, score]
-                        else:
-                            entry[0] += 1
-                            entry[1] += score
+                for c, v, total, pairs in _pair_distance_totals(parent, depth, occurrences):
+                    # Unclamped: c != v lie 1..2D edges apart; int / int rounds correctly.
+                    score = 1.0 - total / pairs / scale
+                    key = c * n + v
+                    entry = in_app.get(key)
+                    if entry is None:
+                        in_app[key] = [1, score]
+                    else:
+                        entry[0] += 1
+                        entry[1] += score
                 for key, count in direct_pairs.items():
                     shares[key] = shares.get(key, 0.0) + count / edge_total
             size = len(trees)
@@ -362,9 +389,9 @@ def average_path_length(c: MethodRef, v: MethodRef, tree: CallTree) -> float:
     parent, depth, occurrences, _, _ = _index(tree, ids)
     if c not in ids or v not in ids:
         return 2.0 * max(depth)
-    occ_c, occ_v = occurrences[ids[c]], occurrences[ids[v]]
-    sums = _distance_sums(parent, depth, occ_c)
-    return sum(map(sums.__getitem__, occ_v)) / (len(occ_c) * len(occ_v))
+    (_, _, total, pairs), = _pair_distance_totals(
+        parent, depth, {ids[c]: occurrences[ids[c]], ids[v]: occurrences[ids[v]]})
+    return total / pairs
 
 
 def pair_distance(c: MethodRef, v: MethodRef, tree: CallTree) -> float:

@@ -26,14 +26,16 @@ def prune(tree: CallTree) -> PrunedTree:
         new_root = CallNode(None, Origin.API, [])
     # (original node, copy of its nearest kept ancestor); an explicit stack
     # because traces can be far deeper than the recursion limit.
+    api = Origin.API
     stack = [(child, new_root) for child in reversed(root.children)]
     while stack:
         node, parent = stack.pop()
-        if node.origin is Origin.API:
-            copy = CallNode(node.method, node.origin, [], node.pinned)
+        if node.origin is api:
+            copy = CallNode(node.method, api, [], node.pinned)
             parent.children.append(copy)
             parent = copy
-        stack.extend((child, parent) for child in reversed(node.children))
+        for child in reversed(node.children):
+            stack.append((child, parent))
     return PrunedTree(tree.app_id, tree.scenario_id, new_root)
 
 

@@ -19,7 +19,6 @@ usage scenario (the file stem is the scenario id).
 from __future__ import annotations
 
 import enum
-from collections import Counter
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterator, NamedTuple
@@ -297,21 +296,24 @@ def _parse(text: str, app_id: str, scenario_id: str, path: str | None,
     # The previous event and its ancestors: chain[d] is the one at depth d.
     chain: list[CallNode] = []
     line_no = 0
+    api, application = Origin.API, Origin.APPLICATION
 
     def fail(message: str) -> TraceParseError:
         return TraceParseError(message, path=path, line_no=line_no)
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-
         parts = raw.split("\t")
+        token = parts[0].strip()
+        # ASCII digits only: int() would also take "1_0", "+1" and "٠". A
+        # line whose depth is digits is neither blank nor a comment.
+        digits = token.isascii() and token.isdigit()
+        if not digits:
+            stripped = raw.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
         if len(parts) < 2:
             raise fail("expected <depth><TAB><class.method>")
-        token = parts[0].strip()
-        # ASCII digits only: int() would also take "1_0", "+1" and "٠".
-        if not (token.isascii() and token.isdigit()):
+        if not digits:
             raise fail(f"invalid depth {token!r}")
         depth = int(token)
 
@@ -325,10 +327,12 @@ def _parse(text: str, app_id: str, scenario_id: str, path: str | None,
             if len(parts) > 3 and any(p.strip() for p in parts[3:]):
                 raise fail("unexpected trailing fields")
 
+        # The origin rule of ``_classified_origin``, inline: a connector root
+        # is API, a pinned origin wins, else the class's cached verdict.
         if name == CONNECTOR_TOKEN:
             if depth != 0 or chain:
                 raise fail("connector marker is only valid as the root event")
-            node = CallNode(None)
+            node = CallNode(None, api, [], None)
         else:
             method = methods.get(name)
             if method is None:
@@ -336,8 +340,14 @@ def _parse(text: str, app_id: str, scenario_id: str, path: str | None,
                     method = methods[name] = MethodRef.from_qualified(name)
                 except ValueError as exc:
                     raise fail(str(exc)) from None
-            node = CallNode(method, pinned=pinned)
-        node.origin = _classified_origin(node, classifier, origins)
+            origin = pinned
+            if origin is None:
+                class_name = method[0]
+                origin = origins.get(class_name)
+                if origin is None:
+                    origin = origins[class_name] = (api if classifier.is_api(class_name)
+                                                    else application)
+            node = CallNode(method, origin, [], pinned)
 
         if not chain:
             if depth != 0:
@@ -348,7 +358,7 @@ def _parse(text: str, app_id: str, scenario_id: str, path: str | None,
             raise fail(f"depth jump to {depth} with no open parent at depth {depth - 1}")
         else:
             chain[depth - 1].children.append(node)
-        del chain[depth:]
+            del chain[depth:]
         chain.append(node)
 
     if not chain:
@@ -408,27 +418,27 @@ def classify(tree: CallTree, classifier: ApiClassifier) -> CallTree:
 
 
 def tree_stats(tree: CallTree) -> TraceStats:
-    """Summarize a classified tree, in one walk.
+    """Summarize a classified tree, in one walk, level by level.
 
     ``nodes`` counts method nodes only. ``height`` is the longest chain of
     method invocations, so a synthetic connector root does not add a level.
     Repetition counts cover distinct API-origin methods; a tree without API
     nodes reports zero repetitions.
     """
-    repetitions: Counter = Counter()
-    nodes = height = 0
-    stack = [(tree.root, 0)]
-    while stack:
-        node, d = stack.pop()
-        if d > height:
-            height = d
-        if node.method is not None:
-            nodes += 1
-            if node.origin is Origin.API:
-                repetitions[node.method] += 1
-        d += 1
-        for child in node.children:
-            stack.append((child, d))
+    repetitions: dict[MethodRef, int] = {}
+    nodes, height, api = 0, -1, Origin.API
+    level = [tree.root]
+    while level:  # one level of the tree per step, so no depth per node
+        height += 1
+        below: list[CallNode] = []
+        for node in level:
+            method = node.method
+            if method is not None:
+                nodes += 1
+                if node.origin is api:
+                    repetitions[method] = repetitions.get(method, 0) + 1
+            below += node.children
+        level = below
     if tree.root.is_connector and height > 0:
         height -= 1
     if not repetitions:

@@ -239,6 +239,20 @@ class TestGraphFiles:
             "}",
         ]
 
+    def test_dot_escapes_backslashes_in_names(self, tmp_path):
+        # A trailing backslash must not escape the closing quote. Every
+        # backslash is doubled, mid-name too, so one rule covers both.
+        trailing, middle = m("lib.A.x\\"), m("lib.A.y\\z")
+        graph = ApiGraph([m('lib.B.q\\"')])
+        graph.add_edge(trailing, middle, 0.5)
+        path = tmp_path / "graph.dot"
+        write_dot(graph, path)
+        assert path.read_text(encoding="utf-8").splitlines()[2:] == [
+            '  "lib.B.q\\\\\\"";',
+            '  "lib.A.x\\\\" -- "lib.A.y\\\\z" [label="0.500"];',
+            "}",
+        ]
+
     def test_read_rejects_malformed_lines(self, tmp_path):
         path = tmp_path / "graph.tsv"
         path.write_text("a.A.a\tb.B.b\n", encoding="utf-8")

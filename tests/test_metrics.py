@@ -2,16 +2,17 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bruteforce as bf
 from conftest import build_corpus, build_tree, m, random_corpus, random_tree_spec
 
-from apicomp import graph_builder
+from apicomp import graph_builder, metrics
 from apicomp.graph_builder import build_graph
 from apicomp.metrics import (CorpusMetrics, MetricConfig, PairAffinity,
-                             QualityWeights, average_path_length,
+                             QualityWeights, _index, _pair_distance_totals,
+                             average_path_length,
                              call_dist, call_freq, call_weight, co_occur,
                              distance, global_freq, left_sum, local_freq,
                              pair_distance, pair_weight, quality, weight)
@@ -480,6 +481,86 @@ def test_distance_score_is_the_clamped_closeness(tree):
         assert pair_distance(c, v, tree) == bf.dis(c, v, tree)
         assert pair_weight(c, v, tree) == bf.wei(c, v, tree)
         assert average_path_length(c, v, tree) == bf.avg_distance(c, v, tree)
+
+
+# -- the pair-distance kernel against every occurrence pair ------------------
+
+def occurrence_pair_totals(tree: CallTree) -> dict:
+    """Per pair of distinct methods c < v, ``(total, pairs)``: the summed BFS
+    path length of ``bruteforce`` over every occurrence pair, and their
+    number."""
+    nodes = bf.node_list(tree)
+    adj = bf._adjacency(nodes)
+    occ: dict = {}
+    for i, (node, _) in enumerate(nodes):
+        if node.method is not None:
+            occ.setdefault(node.method, []).append(i)
+    return {(c, v): (sum(bf.path_length(nodes, adj, a, b) for a in occ[c] for b in occ[v]),
+                     len(occ[c]) * len(occ[v]))
+            for c, v in itertools.combinations(sorted(occ), 2)}
+
+
+def kernel_totals(tree: CallTree) -> dict:
+    """``_pair_distance_totals`` over the tree's ``_index``, keyed like
+    ``occurrence_pair_totals``."""
+    names = sorted(bf.methods_in(tree))
+    parent, depth, occurrences, _, _ = _index(tree, {name: i for i, name in enumerate(names)})
+    return {(names[c], names[v]): (total, pairs)
+            for c, v, total, pairs in _pair_distance_totals(parent, depth, occurrences)}
+
+
+def _tree(methods, parents) -> PrunedTree:
+    nodes = [CallNode(method, Origin.API) for method in methods]
+    for child, parent in enumerate(parents, start=1):
+        nodes[parent].children.append(nodes[child])
+    return PrunedTree("app", "s", nodes[0])
+
+
+@st.composite
+def kernel_trees(draw):
+    """Up to 40 nodes over one to four methods, so methods repeat heavily;
+    the root may be a connector, and a chain, each node the child of the
+    one before, fills the lanes nearest their bound."""
+    n = draw(st.integers(1, 40))
+    pool = _POOL[:draw(st.integers(1, 4))]
+    methods: list = [draw(st.sampled_from(pool)) for _ in range(n)]
+    if draw(st.booleans()):
+        methods[0] = None
+    chain = draw(st.booleans())
+    return _tree(methods, [child - 1 if chain else draw(st.integers(0, child - 1))
+                           for child in range(1, n)])
+
+
+_RNG = random.Random(15)
+# N * N * D = 8 * 8 * 4 = 2**8: the first bound that needs a second lane byte.
+_LANE_EDGE = _tree([_POOL[i] for i in (0, 1, 0, 1, 0, 1, 2, 0)], [0, 1, 2, 3, 0, 5, 0])
+# One level of 80 distinct methods under a root, and a 150-deep chain over
+# 12: small versions of the widest and the deepest shapes.
+_WIDE = _tree([_POOL[0]] + [m(f"lib.W.m{i:02d}") for i in range(80)], [0] * 80)
+_CHAIN = _tree([m(f"lib.K.m{_RNG.randrange(12)}") for _ in range(150)], range(149))
+
+
+@example(tree=_tree([_POOL[0]], []))
+@example(tree=_tree([None, _POOL[0], _POOL[1]], [0, 0]))
+@example(tree=_LANE_EDGE)
+@example(tree=_WIDE)
+@example(tree=_CHAIN)
+@given(tree=kernel_trees())
+@settings(max_examples=150, deadline=None)
+def test_pair_distance_totals_are_the_sums_over_all_occurrence_pairs(tree):
+    assert kernel_totals(tree) == occurrence_pair_totals(tree)
+
+
+@given(tree=kernel_trees())
+@settings(max_examples=100, deadline=None)
+def test_lanes_without_a_native_read_give_the_same_totals(tree):
+    """Lanes wider than 8 bytes, for N * N * D at 2**64 or more, are read one
+    ``int.from_bytes`` at a time. With no native format at all, every lane
+    is the fewest whole bytes that hold N * N * D and is read that way."""
+    expected = occurrence_pair_totals(tree)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(metrics, "_LANE_FORMATS", {})
+        assert kernel_totals(tree) == expected
 
 
 class TestLeftSum:

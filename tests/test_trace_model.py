@@ -13,6 +13,7 @@ import bruteforce as bf
 from conftest import API_CLASSIFIER, FIG_TREE_TEXT, build_tree, m, write_corpus_dir
 
 from apicomp import trace_model
+from apicomp.pruner import prune
 from apicomp.trace_model import (ApiClassifier, CallNode, CallTree, MethodRef,
                                  Origin, TraceParseError, TraceStats, classify,
                                  load_corpus, parse_trace_file, serialize_tree,
@@ -143,6 +144,40 @@ class TestParse:
         assert tree.depth() == 5
 
 
+class TestParseBranchOrder:
+    """Which check a line meets first: skipped lines, then the missing field,
+    then the depth, each error on its own line number."""
+
+    @pytest.mark.parametrize("line", ["\t", "  ", " \t\t ", "#1\tA.b", "  # x"])
+    def test_blank_and_comment_lines_are_skipped(self, line):
+        tree = parse_trace_file(f"{line}\n0\tlib.A.root\n{line}\n1\tlib.A.b\n", "app", "s")
+        assert serialize_tree(tree) == "0\tlib.A.root\n1\tlib.A.b\n"
+
+    @pytest.mark.parametrize("line, message", [
+        ("1", "expected <depth><TAB><class.method>"),
+        ("x", "expected <depth><TAB><class.method>"),
+        ("x\tA.b", "invalid depth 'x'"),
+    ])
+    def test_errors_keep_their_line_numbers(self, line, message):
+        for text, line_no in ((f"{line}\n", 1), (f"# c\n0\tlib.A.root\n\t\n{line}\n", 4)):
+            with pytest.raises(TraceParseError) as info:
+                parse_trace_file(text, "app", "s", path="t.trace")
+            assert str(info.value) == f"t.trace:{line_no}: {message}"
+            assert info.value.line_no == line_no
+
+    def test_padded_depth_and_name_are_accepted(self):
+        tree = parse_trace_file(" 0\tA.b \n", "app", "s")
+        assert tree.root.method == MethodRef("A", "b")
+        assert tree.node_count() == 1
+
+    @pytest.mark.parametrize("pin", ["API", "APP"])
+    def test_a_pinned_connector_is_api_and_unpinned(self, pin):
+        tree = parse_trace_file(f"0\t<connector>\t{pin}\n1\tlib.A.b\n", "app", "s")
+        assert tree.root.is_connector
+        assert tree.root.origin is Origin.API
+        assert tree.root.pinned is None
+
+
 class TestClassify:
     def test_prefix_match_marks_api(self):
         tree = build_tree("a", "s", ("a.App.main", ["api.Log.info"]),
@@ -252,6 +287,21 @@ def test_avg_repetition_matches_direct_recount(tree):
         assert api_nodes == 0
 
 
+def counter_stats(tree: CallTree) -> TraceStats:
+    """``tree_stats`` by its definition, in three walks: a ``Counter`` over
+    the API method nodes, ``node_count`` and ``depth``, less the level a
+    connector root adds."""
+    repetitions = Counter(n.method for n in tree.method_nodes() if n.origin is Origin.API)
+    height = tree.depth()
+    if tree.root.is_connector and height > 0:
+        height -= 1
+    counts = repetitions.values()
+    return TraceStats(
+        tree.node_count(), len(repetitions), height,
+        min(counts, default=0), max(counts, default=0),
+        sum(counts) / len(repetitions) if repetitions else 0.0)
+
+
 @given(call_trees(), st.booleans())
 @settings(max_examples=80)
 def test_tree_stats_equals_the_three_walk_definition(tree, connector):
@@ -260,17 +310,18 @@ def test_tree_stats_equals_the_three_walk_definition(tree, connector):
         # A pruned application root: a connector adopts its subtrees.
         classified = CallTree("app", "s", CallNode(None, Origin.API,
                                                    classified.root.children))
-    repetitions = Counter(n.method for n in classified.method_nodes()
-                          if n.origin is Origin.API)
-    height = classified.depth()
-    if connector and height > 0:
-        height -= 1
-    counts = repetitions.values()
-    expected = TraceStats(
-        classified.node_count(), len(repetitions), height,
-        min(counts, default=0), max(counts, default=0),
-        sum(counts) / len(repetitions) if repetitions else 0.0)
-    assert tree_stats(classified) == expected
+    assert tree_stats(classified) == counter_stats(classified)
+
+
+@given(call_trees(), st.sampled_from([ApiClassifier(("lib.",)), ApiClassifier(("",)),
+                                      ApiClassifier(()), ApiClassifier(("app.C0",))]))
+@settings(max_examples=100)
+def test_tree_stats_matches_a_counter_reference_on_raw_and_pruned_trees(tree, classifier):
+    """Raw and pruned trees: an application root prunes to a connector, and
+    a tree without API nodes to a lone connector."""
+    classified = classify(tree, classifier)
+    for shown in (tree, classified, prune(classified)):
+        assert tree_stats(shown) == counter_stats(shown)
 
 
 # -- classifying while loading, against classify ------------------------------
