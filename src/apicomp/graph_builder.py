@@ -41,84 +41,91 @@ class IntView(NamedTuple):
 class ApiGraph:
     """Undirected weighted graph over methods with deterministic ordering.
 
-    Every read goes through an ``IntView``, so vertices and adjacency lists
-    come in (class, method) order and every traversal of the same graph
-    yields the same sequence. The constructor and ``add_edge`` write a
-    ``MethodRef`` edge dict, from which the view is built on first read;
-    ``add_edge`` discards the view. A graph from ``build_graph`` starts
-    from its view, and ``add_edge`` first derives the dict from it.
+    The graph is its ``IntView``: vertices and adjacency lists come in
+    (class, method) order, so every traversal of the same graph yields the
+    same sequence. The constructor numbers ``vertices`` plus every endpoint
+    of ``edges``. ``add_edge`` writes the weight into the view in place; an
+    endpoint the graph lacks renumbers it into a new view, in O(V + E), so a
+    large graph is built fastest from its vertices or edges.
     """
 
     def __init__(self, vertices: Iterable[MethodRef],
                  edges: dict[tuple[MethodRef, MethodRef], float] | None = None) -> None:
-        self._adjacency: dict[MethodRef, dict[MethodRef, float]] | None = {
-            v: {} for v in vertices}
-        self._view: IntView | None = None
-        for (u, v), w in (edges or {}).items():
-            self.add_edge(u, v, w)
-
-    @classmethod
-    def _of_view(cls, view: IntView) -> "ApiGraph":
-        graph = cls.__new__(cls)
-        graph._adjacency, graph._view = None, view
-        return graph
+        self._view = _numbered(vertices, edges or {})
 
     def add_edge(self, u: MethodRef, v: MethodRef, weight: float) -> None:
-        if u == v:
-            raise ValueError(f"self-loop on {u}")
-        if not 0.0 <= weight <= 1.0:
-            raise ValueError(f"edge weight must be in [0, 1], got {weight}")
-        if self._adjacency is None:
-            names, _, adjacency, weights = self._view
-            self._adjacency = {name: {names[j]: weights[i][j] for j in adjacency[i]}
-                               for i, name in enumerate(names)}
-        self._view = None
-        self._adjacency.setdefault(u, {})[v] = weight
-        self._adjacency.setdefault(v, {})[u] = weight
+        _check_edge(u, v, weight)
+        names, ids, adjacency, weights = self._view
+        iu, iv = ids.get(u), ids.get(v)
+        if iu is None or iv is None:
+            edges = {(a, b): w for a, b, w in self.edges()}
+            self._view = _numbered(names, {**edges, (u, v): weight})
+            return
+        if iv not in weights[iu]:
+            for i, j in ((iu, iv), (iv, iu)):
+                adjacency[i].append(j)
+                adjacency[i].sort()
+        weights[iu][iv] = weights[iv][iu] = weight
 
     def int_view(self) -> IntView:
-        """The graph numbered in name order; built once per set of edges."""
-        if self._view is None:
-            names = tuple(sorted(self._adjacency))
-            ids = {v: i for i, v in enumerate(names)}
-            weights = [{ids[n]: w for n, w in self._adjacency[v].items()} for v in names]
-            self._view = IntView(names, ids, [sorted(ws) for ws in weights], weights)
+        """The graph numbered in name order. The view is live: ``add_edge``
+        between vertices the graph has changes it in place, while one that
+        adds a vertex leaves it stale and starts a new one."""
         return self._view
 
     @property
     def vertices(self) -> tuple[MethodRef, ...]:
-        return self.int_view().names
+        return self._view.names
 
     def __contains__(self, v: MethodRef) -> bool:
-        return v in self.int_view().ids
+        return v in self._view.ids
 
     def __len__(self) -> int:
-        return len(self.int_view().names)
+        return len(self._view.names)
 
     def neighbors(self, v: MethodRef) -> tuple[MethodRef, ...]:
-        view = self.int_view()
+        view = self._view
         return tuple(view.names[i] for i in view.adjacency[view.ids[v]])
 
     def degree(self, v: MethodRef) -> int:
-        view = self.int_view()
+        view = self._view
         return len(view.adjacency[view.ids[v]])
 
     def edge_weight(self, u: MethodRef, v: MethodRef) -> float:
         """Weight of the edge u-v, or 0.0 when absent."""
-        view = self.int_view()
+        view = self._view
         iu, iv = view.ids.get(u), view.ids.get(v)
         return 0.0 if iu is None or iv is None else view.weights[iu].get(iv, 0.0)
 
     def edges(self) -> Iterator[tuple[MethodRef, MethodRef, float]]:
         """All edges once, endpoints ordered, sorted."""
-        names, _, adjacency, weights = self.int_view()
+        names, _, adjacency, weights = self._view
         for u, neighbors in enumerate(adjacency):
             for v in neighbors:
                 if u < v:
                     yield names[u], names[v], weights[u][v]
 
     def edge_count(self) -> int:
-        return sum(map(len, self.int_view().adjacency)) // 2
+        return sum(map(len, self._view.adjacency)) // 2
+
+
+def _check_edge(u: MethodRef, v: MethodRef, weight: float) -> None:
+    if u == v:
+        raise ValueError(f"self-loop on {u}")
+    if not 0.0 <= weight <= 1.0:
+        raise ValueError(f"edge weight must be in [0, 1], got {weight}")
+
+
+def _numbered(vertices: Iterable[MethodRef],
+              edges: dict[tuple[MethodRef, MethodRef], float]) -> IntView:
+    """The view of ``vertices`` plus every endpoint of ``edges``, checked."""
+    names = tuple(sorted({*vertices, *(v for pair in edges for v in pair)}))
+    ids = {v: i for i, v in enumerate(names)}
+    weights: list[dict[int, float]] = [{} for _ in names]
+    for (u, v), w in edges.items():
+        _check_edge(u, v, w)
+        weights[ids[u]][ids[v]] = weights[ids[v]][ids[u]] = w
+    return IntView(names, ids, [sorted(ws) for ws in weights], weights)
 
 
 # _mapper: passed, and ignored, only by perfbench/traced.py; ROADMAP item 2 removes it.
@@ -141,8 +148,9 @@ def build_graph(corpus: TraceCorpus, config: GraphConfig | None = None,
     the ``literal`` weight formula can cause.
     """
     config = config or GraphConfig()
+    graph = ApiGraph(())
     if corpus.is_empty():
-        return ApiGraph(())
+        return graph
     engine = CorpusMetrics(corpus, config.metrics)
     names, blend, threshold = engine.names, config.weights.blend, config.edge_threshold
     adjacency: list[list[int]] = [[] for _ in names]
@@ -158,7 +166,8 @@ def build_graph(corpus: TraceCorpus, config: GraphConfig | None = None,
             adjacency[c].append(v)
             adjacency[v].append(c)
             weights[c][v] = weights[v][c] = w
-    return ApiGraph._of_view(IntView(tuple(names), engine.ids, adjacency, weights))
+    graph._view = IntView(tuple(names), engine.ids, adjacency, weights)
+    return graph
 
 
 def write_edge_list(graph: ApiGraph, path: str | Path) -> None:

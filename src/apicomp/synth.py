@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .rng import SplitMix64
-from .trace_model import (ApiClassifier, CallNode, CallTree, MethodRef,
-                          TraceCorpus, classify, write_corpus)
+from .trace_model import (ApiClassifier, CallNode, CallTree, MethodRef, TraceCorpus,
+                          classify, content_lines, method_at, write_corpus)
 
 API_PREFIXES = ("plant", "noise")
 
@@ -147,11 +147,7 @@ def write_generated(spec: PlantSpec, out_dir: str | Path) -> tuple[TraceCorpus, 
 
 
 def load_ground_truth(path: str | Path) -> list[frozenset[MethodRef]]:
-    truth = []
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        truth.append(frozenset(MethodRef.from_qualified(part)
-                               for part in line.split(",")))
-    return truth
+    """One method set per content line, comma-separated, each name stripped;
+    a name that is not qualified raises ``ValueError`` naming ``path:line``."""
+    return [frozenset(method_at(path, line_no, part) for part in raw.split(","))
+            for line_no, raw in content_lines(path)]

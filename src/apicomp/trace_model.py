@@ -234,6 +234,19 @@ class ApiClassifier(NamedTuple):
         return cls(tuple(raw.strip() for _, raw in content_lines(path)))
 
 
+class _Verdicts(dict):
+    """Class name to the ``Origin`` a classifier gives it: a miss runs
+    ``is_api`` once and keeps the verdict, a hit is a plain dict read."""
+
+    def __init__(self, classifier: ApiClassifier) -> None:
+        self.is_api = classifier.is_api
+
+    def __missing__(self, class_name: str) -> Origin:
+        api = self.is_api(class_name)
+        origin = self[class_name] = Origin.API if api else Origin.APPLICATION
+        return origin
+
+
 def read_utf8(path: str | Path) -> str:
     """The text of a UTF-8 file; one that is not UTF-8 raises ``ValueError``
     naming it."""
@@ -284,19 +297,18 @@ def parse_trace_file(text: str, app_id: str, scenario_id: str, *,
     Raises:
         TraceParseError: empty input, bad depth sequence, unparsable names.
     """
-    return _parse(text, app_id, scenario_id, path, {}, ApiClassifier(()), {})
+    return _parse(text, app_id, scenario_id, path, {}, _Verdicts(ApiClassifier(())))
 
 
 def _parse(text: str, app_id: str, scenario_id: str, path: str | None,
-           methods: dict[str, MethodRef], classifier: ApiClassifier,
-           origins: dict[str, Origin]) -> CallTree:
-    """``parse_trace_file``, classifying each node as it is made. Callers
-    that share ``methods`` (qualified name to ``MethodRef``) and ``origins``
-    share one ``MethodRef`` per name and one verdict per class name."""
+           methods: dict[str, MethodRef], verdicts: _Verdicts) -> CallTree:
+    """``parse_trace_file``, classifying each node as it is made, by the rule
+    of ``classify`` over ``verdicts``. Callers that share ``methods``
+    (qualified name to ``MethodRef``) and ``verdicts`` share one
+    ``MethodRef`` per name and one verdict per class name."""
     # The previous event and its ancestors: chain[d] is the one at depth d.
     chain: list[CallNode] = []
     line_no = 0
-    api, application = Origin.API, Origin.APPLICATION
 
     def fail(message: str) -> TraceParseError:
         return TraceParseError(message, path=path, line_no=line_no)
@@ -327,12 +339,12 @@ def _parse(text: str, app_id: str, scenario_id: str, path: str | None,
             if len(parts) > 3 and any(p.strip() for p in parts[3:]):
                 raise fail("unexpected trailing fields")
 
-        # The origin rule of ``_classified_origin``, inline: a connector root
-        # is API, a pinned origin wins, else the class's cached verdict.
+        # The origin rule of ``classify``: a connector root is API, a pinned
+        # origin wins, else the class's verdict (``Origin`` members are true).
         if name == CONNECTOR_TOKEN:
             if depth != 0 or chain:
                 raise fail("connector marker is only valid as the root event")
-            node = CallNode(None, api, [], None)
+            node = CallNode(None, Origin.API, [], None)
         else:
             method = methods.get(name)
             if method is None:
@@ -340,14 +352,7 @@ def _parse(text: str, app_id: str, scenario_id: str, path: str | None,
                     method = methods[name] = MethodRef.from_qualified(name)
                 except ValueError as exc:
                     raise fail(str(exc)) from None
-            origin = pinned
-            if origin is None:
-                class_name = method[0]
-                origin = origins.get(class_name)
-                if origin is None:
-                    origin = origins[class_name] = (api if classifier.is_api(class_name)
-                                                    else application)
-            node = CallNode(method, origin, [], pinned)
+            node = CallNode(method, pinned or verdicts[method[0]], [], pinned)
 
         if not chain:
             if depth != 0:
@@ -383,35 +388,23 @@ def serialize_tree(tree: CallTree) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _classified_origin(node: CallNode, classifier: ApiClassifier,
-                       origins: dict[str, Origin]) -> Origin:
-    """The origin rule of parsing and ``classify``: a connector root is API,
-    a pinned origin wins, else the classifier's verdict, cached in ``origins``."""
-    if node.method is None:
-        return Origin.API
-    if node.pinned is not None:
-        return node.pinned
-    class_name = node.method.class_name
-    if class_name not in origins:
-        origins[class_name] = (Origin.API if classifier.is_api(class_name)
-                               else Origin.APPLICATION)
-    return origins[class_name]
-
-
 def classify(tree: CallTree, classifier: ApiClassifier) -> CallTree:
     """Return a copy with every node's origin recomputed from the classifier.
 
-    ``load_corpus`` applies the same rule while parsing. Pinned nodes keep
-    their pinned origin; tree shape is unchanged and the operation is
-    idempotent. Each class name is matched once per tree.
+    The rule: a connector root is API, a pinned node keeps its pinned
+    origin, and any other node takes its class's verdict, matched once per
+    class name per tree. ``load_corpus`` applies the same rule, through the
+    same verdict cache, while parsing. Tree shape is unchanged and the
+    operation is idempotent.
     """
-    origins: dict[str, Origin] = {}
+    verdicts = _Verdicts(classifier)
     roots: list[CallNode] = []
     stack = [(tree.root, roots)]
     while stack:
         old, siblings = stack.pop()
-        new = CallNode(old.method, _classified_origin(old, classifier, origins),
-                       [], old.pinned)
+        method, pinned = old.method, old.pinned
+        origin = Origin.API if method is None else pinned or verdicts[method[0]]
+        new = CallNode(method, origin, [], pinned)
         siblings.append(new)
         stack.extend((child, new.children) for child in reversed(old.children))
     return type(tree)(tree.app_id, tree.scenario_id, roots[0])
@@ -470,7 +463,7 @@ def load_corpus(corpus_dir: str | Path, classifier: ApiClassifier | None = None,
 
     trees: dict[str, list[CallTree]] = {}
     methods: dict[str, MethodRef] = {}
-    origins: dict[str, Origin] = {}
+    verdicts = _Verdicts(classifier or ApiClassifier(()))
     for app_dir in sorted(p for p in corpus_dir.iterdir() if p.is_dir()):
         for trace_path in sorted(app_dir.glob("*.trace")):
             try:
@@ -480,7 +473,7 @@ def load_corpus(corpus_dir: str | Path, classifier: ApiClassifier | None = None,
                                       path=str(trace_path)) from None
             trees.setdefault(app_dir.name, []).append(
                 _parse(text, app_dir.name, trace_path.stem, str(trace_path),
-                       methods, classifier or ApiClassifier(()), origins))
+                       methods, verdicts))
     return TraceCorpus(trees)
 
 

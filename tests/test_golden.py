@@ -60,6 +60,7 @@ def test_cluster_bytes(corpus_dir, tmp_path, comparison, digest):
 NOISY = ["generate", "--components", "4", "--methods-per-component", "3", "5",
          "--inter-call-prob", "0.3", "--trees-per-app", "4", "--apps", "4",
          "--tree-depth", "3", "6", "--noise-prob", "0.4", "--seed", "11"]
+RUN_DIGEST = "f177303a51236697754bee93bd80915e373593d7e9d4a55dd55f02b0ce4b351b"
 
 
 def test_run_report_bytes(tmp_path, monkeypatch):
@@ -69,7 +70,7 @@ def test_run_report_bytes(tmp_path, monkeypatch):
     assert main(["run", "--corpus", "corpus", "--classifier",
                  "corpus/classifier.txt", "--out", "out"]) == 0
     digest = hashlib.sha256((tmp_path / "out" / "report.json").read_bytes()).hexdigest()
-    assert digest == "f177303a51236697754bee93bd80915e373593d7e9d4a55dd55f02b0ce4b351b"
+    assert digest == RUN_DIGEST
 
 
 def test_prune_bytes(corpus_dir, tmp_path):

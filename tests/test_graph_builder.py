@@ -40,7 +40,7 @@ class TestApiGraph:
     def test_add_edge_after_reads_refreshes_every_view(self):
         added = ApiGraph([A, B])
         added.add_edge(A, B, 0.5)
-        # A graph with no edge buffer until add_edge derives one.
+        # A graph whose view build_graph wrote straight from the pair rows.
         built = build_graph(build_corpus({"a": [("lib.Ops.A", ["lib.Ops.B"])]}))
         for graph in (added, built):
             self._check_add_edge_after_reads(graph)
@@ -69,6 +69,41 @@ class TestApiGraph:
         # both leaves outrank B and first, sorting first, is taken first.
         assert cluster(graph) == [Cluster(first, frozenset({first, B})),
                                   Cluster(A, frozenset({A, B}))]
+
+
+POOL = [m(f"lib.P{i % 3}.m{i}") for i in range(7)]
+
+
+def rejection(call) -> str:
+    with pytest.raises(ValueError) as caught:
+        call()
+    return str(caught.value)
+
+
+@given(st.sets(st.sampled_from(POOL)),
+       st.lists(st.tuples(st.sampled_from(POOL), st.sampled_from(POOL),
+                          st.sampled_from([0.0, 0.25, 0.5, 1.0]))
+                .filter(lambda edge: edge[0] != edge[1]), max_size=15))
+@settings(max_examples=150, deadline=None)
+def test_add_edge_sequence_gives_the_constructor_view(vertices, sequence):
+    """Edges to endpoints the graph lacks, constructor-only isolated
+    vertices and an edge re-weighted from its other end all leave the view
+    that the constructor builds from the final edges; the constructor
+    rejects a bad edge with ``add_edge``'s message."""
+    if sequence:
+        u, v, w = sequence[0]
+        sequence.append((v, u, 1.0 - w))
+    graph = ApiGraph(vertices)
+    final = {}
+    for u, v, w in sequence:
+        graph.add_edge(u, v, w)
+        final[min(u, v), max(u, v)] = w
+        assert graph.edge_weight(v, u) == w
+    assert graph.int_view() == ApiGraph(vertices, final).int_view()
+    for (u, v, w), message in (((A, A, 0.5), "self-loop on lib.Ops.A"),
+                               ((A, B, 1.5), "edge weight must be in [0, 1], got 1.5")):
+        assert (rejection(lambda: ApiGraph([], {(u, v): w}))
+                == rejection(lambda: ApiGraph([A, B]).add_edge(u, v, w)) == message)
 
 
 class TestBuildGraph:

@@ -1,5 +1,10 @@
+import hashlib
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -7,8 +12,10 @@ from hypothesis import strategies as st
 
 import bruteforce as bf
 from conftest import build_corpus, build_tree, m, random_corpus, random_tree_spec
+from test_golden import NOISY, RUN_DIGEST
 
 from apicomp import graph_builder, metrics
+from apicomp.cli import main
 from apicomp.graph_builder import build_graph
 from apicomp.metrics import (CorpusMetrics, MetricConfig, PairAffinity,
                              QualityWeights, _index, _pair_distance_totals,
@@ -22,6 +29,7 @@ from apicomp.trace_model import (ApiClassifier, CallNode, CallTree, Origin,
 
 A, B, C, D, E, L = (m(f"lib.Ops.{x}") for x in "ABCDEL")
 TOL = 1e-12
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestConfigs:
@@ -582,3 +590,29 @@ class TestLeftSum:
             total += value
         assert left_sum(values) == total
         assert left_sum(iter(values)) == total
+
+    def test_the_3_12_branch_reduces_and_keeps_the_golden_report(self, tmp_path):
+        """To run the 3.12 branch on an older interpreter, a fresh one imports
+        ``metrics`` with ``sys.version_info`` patched to 3.12, its stdlib
+        imports loaded first, and restores it at once; the golden run must
+        keep its bytes."""
+        assert main([*NOISY, "--out", str(tmp_path / "corpus")]) == 0
+        code = (
+            "import collections, enum, functools, importlib, itertools, operator, pathlib\n"
+            "import sys, typing\n"
+            "real, sys.version_info = sys.version_info, (3, 12, 0, 'final', 0)\n"
+            "try:\n"
+            "    import apicomp.metrics as metrics\n"
+            "finally:\n"
+            "    sys.version_info = real\n"
+            "assert 'reduce' in metrics.left_sum.__code__.co_names\n"
+            "assert metrics.left_sum([1e16, 1.0, -1e16]) == 0.0\n"
+            "from apicomp.cli import main\n"
+            "assert main(['run', '--corpus', 'corpus', '--classifier',"
+            " 'corpus/classifier.txt', '--out', 'out']) == 0\n")
+        proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                              env=dict(os.environ, PYTHONPATH=str(SRC)),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        report = (tmp_path / "out" / "report.json").read_bytes()
+        assert hashlib.sha256(report).hexdigest() == RUN_DIGEST

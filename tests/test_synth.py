@@ -1,4 +1,5 @@
 import filecmp
+import re
 
 import pytest
 
@@ -8,7 +9,7 @@ from apicomp.pruner import prune_corpus
 from apicomp.rng import SplitMix64
 from apicomp.synth import (PlantSpec, generate, load_ground_truth,
                            write_generated)
-from apicomp.trace_model import ApiClassifier, Origin, load_corpus
+from apicomp.trace_model import ApiClassifier, MethodRef, Origin, load_corpus
 
 
 class TestSplitMix64:
@@ -75,6 +76,21 @@ class TestGenerate:
         loaded = load_corpus(tmp_path / "corpus", classifier)
         assert loaded == corpus
         assert load_ground_truth(tmp_path / "corpus" / "ground_truth.txt") == truth
+
+    def test_ground_truth_reader_skips_comments_and_names_the_line(self, tmp_path):
+        path = tmp_path / "truth.txt"
+        path.write_text("# planted\n\n lib.A.a , lib.A.b\nlib.B.c\n", encoding="utf-8")
+        assert load_ground_truth(path) == [
+            frozenset({MethodRef("lib.A", "a"), MethodRef("lib.A", "b")}),
+            frozenset({MethodRef("lib.B", "c")})]
+        path.write_text("# planted\n\nlib.A.a,nodot\n", encoding="utf-8")
+        where = re.escape(str(path))
+        bad_name = f"^{where}:3: not a qualified method name: 'nodot'$"
+        with pytest.raises(ValueError, match=bad_name):
+            load_ground_truth(path)
+        path.write_bytes(b"lib.A.a,lib.A.\xff\n")
+        with pytest.raises(ValueError, match=f"^{where}: not UTF-8 text"):
+            load_ground_truth(path)
 
     def test_roots_are_application_and_methods_api(self):
         corpus, _ = generate(PlantSpec(seed=3))
