@@ -44,69 +44,66 @@ class ApiGraph:
     The graph is its ``IntView``: vertices and adjacency lists come in
     (class, method) order, so every traversal of the same graph yields the
     same sequence. The constructor numbers ``vertices`` plus every endpoint
-    of ``edges``. ``add_edge`` writes the weight into the view in place; an
-    endpoint the graph lacks renumbers it into a new view, in O(V + E), so a
-    large graph is built fastest from its vertices or edges.
+    of ``edges``. ``add_edge`` only records the edge; it takes effect at the
+    next read, which renumbers the graph once, in O(V + E), however many
+    edges were added since the last one. So building a graph edge by edge
+    and then reading it is linear, while reading after every add renumbers
+    every time.
     """
 
     def __init__(self, vertices: Iterable[MethodRef],
                  edges: dict[tuple[MethodRef, MethodRef], float] | None = None) -> None:
         self._view = _numbered(vertices, edges or {})
+        self._pending: dict[tuple[MethodRef, MethodRef], float] = {}
 
     def add_edge(self, u: MethodRef, v: MethodRef, weight: float) -> None:
         _check_edge(u, v, weight)
-        names, ids, adjacency, weights = self._view
-        iu, iv = ids.get(u), ids.get(v)
-        if iu is None or iv is None:
-            edges = {(a, b): w for a, b, w in self.edges()}
-            self._view = _numbered(names, {**edges, (u, v): weight})
-            return
-        if iv not in weights[iu]:
-            for i, j in ((iu, iv), (iv, iu)):
-                adjacency[i].append(j)
-                adjacency[i].sort()
-        weights[iu][iv] = weights[iv][iu] = weight
+        self._pending[(u, v) if u < v else (v, u)] = weight
 
     def int_view(self) -> IntView:
-        """The graph numbered in name order. The view is live: ``add_edge``
-        between vertices the graph has changes it in place, while one that
-        adds a vertex leaves it stale and starts a new one."""
+        """The graph numbered in name order, the one read path. Edges added
+        since the last read are numbered in first, so a view read before an
+        ``add_edge`` is stale after it."""
+        if self._pending:
+            pending, self._pending = self._pending, {}
+            edges = {(u, v): w for u, v, w in self.edges()}
+            self._view = _numbered(self._view.names, {**edges, **pending})
         return self._view
 
     @property
     def vertices(self) -> tuple[MethodRef, ...]:
-        return self._view.names
+        return self.int_view().names
 
     def __contains__(self, v: MethodRef) -> bool:
-        return v in self._view.ids
+        return v in self.int_view().ids
 
     def __len__(self) -> int:
-        return len(self._view.names)
+        return len(self.int_view().names)
 
     def neighbors(self, v: MethodRef) -> tuple[MethodRef, ...]:
-        view = self._view
+        view = self.int_view()
         return tuple(view.names[i] for i in view.adjacency[view.ids[v]])
 
     def degree(self, v: MethodRef) -> int:
-        view = self._view
+        view = self.int_view()
         return len(view.adjacency[view.ids[v]])
 
     def edge_weight(self, u: MethodRef, v: MethodRef) -> float:
         """Weight of the edge u-v, or 0.0 when absent."""
-        view = self._view
+        view = self.int_view()
         iu, iv = view.ids.get(u), view.ids.get(v)
         return 0.0 if iu is None or iv is None else view.weights[iu].get(iv, 0.0)
 
     def edges(self) -> Iterator[tuple[MethodRef, MethodRef, float]]:
         """All edges once, endpoints ordered, sorted."""
-        names, _, adjacency, weights = self._view
+        names, _, adjacency, weights = self.int_view()
         for u, neighbors in enumerate(adjacency):
             for v in neighbors:
                 if u < v:
                     yield names[u], names[v], weights[u][v]
 
     def edge_count(self) -> int:
-        return sum(map(len, self._view.adjacency)) // 2
+        return sum(map(len, self.int_view().adjacency)) // 2
 
 
 def _check_edge(u: MethodRef, v: MethodRef, weight: float) -> None:

@@ -223,12 +223,13 @@ class CorpusMetrics:
     Construction walks the trees twice: once to number the methods, then
     once, apps in corpus order and trees in order, to score each tree from
     its ``_index`` and ``_pair_distance_totals``: each pair c < v's tree
-    count and distance score, ``1 - total / pairs / (2 * depth)``, into a
-    per-app ``[count, dist]`` keyed by the int ``c * n + v``, and each
-    direct-call pair's weight share into a corpus-wide total. An app's
-    entries fold into one accumulator row per pair, ``[local, dist, apps,
-    trees]``, when the app ends. Every float total is a running ``+=`` in
-    tree then app order, starting from its first term (``0.0 + x == x``):
+    count and distance score, ``1 - total / pairs / (2 * depth)``, into two
+    flat per-app dicts, tree counts and summed scores, keyed by the int
+    ``c * n + v``, and each direct-call pair's weight share into a
+    corpus-wide total. An app's entries fold into one accumulator row per
+    pair, ``[local, dist, apps, trees]``, when the app ends. Every float
+    total is a running ``+=`` in tree then app order, starting from its
+    first term (``0.0 + x == x``):
     the float CPython 3.11's ``sum()`` gives over the terms a per-pair scan
     would add, less the exact 0.0 terms of trees without the pair. So the
     accessors are table lookups; a pair that never co-occurs scores 0.0 on
@@ -255,7 +256,8 @@ class CorpusMetrics:
         acc: dict[int, list] = {}
         shares: dict[int, float] = {}
         for trees in corpus.trees.values():
-            in_app: dict[int, list] = {}  # [trees containing the pair, summed distance scores]
+            in_trees: dict[int, int] = {}  # per pair key: this app's trees containing it
+            scores: dict[int, float] = {}  # and the sum of their distance scores
             for tree in trees:
                 parent, depth, occurrences, direct_pairs, edge_total = _index(tree, self.ids)
                 scale = 2.0 * max(depth)
@@ -263,16 +265,13 @@ class CorpusMetrics:
                     # Unclamped: c != v lie 1..2D edges apart; int / int rounds correctly.
                     score = 1.0 - total / pairs / scale
                     key = c * n + v
-                    entry = in_app.get(key)
-                    if entry is None:
-                        in_app[key] = [1, score]
-                    else:
-                        entry[0] += 1
-                        entry[1] += score
+                    in_trees[key] = in_trees.get(key, 0) + 1
+                    scores[key] = scores.get(key, 0.0) + score
                 for key, count in direct_pairs.items():
                     shares[key] = shares.get(key, 0.0) + count / edge_total
             size = len(trees)
-            for key, (count, app_dist) in in_app.items():
+            for key, count in in_trees.items():
+                app_dist = scores[key]
                 row = acc.get(key)
                 if row is None:
                     acc[key] = [count / size, app_dist / size, 1, count]

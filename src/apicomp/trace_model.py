@@ -248,10 +248,11 @@ class _Verdicts(dict):
 
 
 def read_utf8(path: str | Path) -> str:
-    """The text of a UTF-8 file; one that is not UTF-8 raises ``ValueError``
-    naming it."""
+    """The text of a UTF-8 file, less one leading byte order mark; one that
+    is not UTF-8 raises ``ValueError`` naming it, with the byte offset
+    counted from the start of the file."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
                          ) from None
@@ -467,9 +468,9 @@ def load_corpus(corpus_dir: str | Path, classifier: ApiClassifier | None = None,
     for app_dir in sorted(p for p in corpus_dir.iterdir() if p.is_dir()):
         for trace_path in sorted(app_dir.glob("*.trace")):
             try:
-                text = trace_path.read_text(encoding="utf-8")
-            except UnicodeDecodeError as exc:
-                raise TraceParseError(f"not UTF-8 text ({exc.reason} at byte {exc.start})",
+                text = read_utf8(trace_path)
+            except ValueError as exc:
+                raise TraceParseError(str(exc).removeprefix(f"{trace_path}: "),
                                       path=str(trace_path)) from None
             trees.setdefault(app_dir.name, []).append(
                 _parse(text, app_dir.name, trace_path.stem, str(trace_path),

@@ -8,9 +8,13 @@ from pathlib import Path
 
 import pytest
 
-from conftest import FIG_TREE_TEXT, write_corpus_dir
+from conftest import API_CLASSIFIER, FIG_TREE_TEXT, write_corpus_dir
 
 from apicomp.cli import main
+from apicomp.components import RelatednessLabels
+from apicomp.graph_builder import read_edge_list
+from apicomp.synth import load_ground_truth
+from apicomp.trace_model import load_corpus
 
 
 def run_cli(*argv) -> int:
@@ -159,6 +163,71 @@ class TestExitCodes:
     def test_missing_corpus_is_config_error(self, tmp_path):
         assert run_cli("run", "--corpus", str(tmp_path / "nope"),
                        "--out", str(tmp_path / "out")) == 1
+
+
+def _load_trace(path):
+    return load_corpus(path.parent.parent, API_CLASSIFIER)
+
+
+def _run_with_classifier(path):
+    corpus = write_corpus_dir(path.parent, {"demo": {"s0": FIG_TREE_TEXT}})
+    out = path.parent / "out"
+    assert run_cli("run", "--corpus", str(corpus), "--classifier", str(path),
+                   "--out", str(out)) == 0
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    return report["graph"], report["components"]
+
+
+def _read_edge_list(path):
+    graph = read_edge_list(path)
+    return graph.vertices, list(graph.edges())
+
+
+def _metrics_of_sets(path):
+    corpus = write_corpus_dir(path.parent, {"a": {"t": "0\tlib.Ops.A\n1\tlib.Ops.B\n"}})
+    out = path.parent / "metrics.csv"
+    assert run_cli("metrics", "--corpus", str(corpus), "--sets", str(path),
+                   "--out", str(out)) == 0
+    return out.read_text(encoding="utf-8")
+
+
+def _evaluate_report(path):
+    labels = path.parent / "labels.txt"
+    labels.write_text("lib.Ops.A\tlib.Ops.B\n", encoding="utf-8")
+    out = path.parent / "evaluation"
+    assert run_cli("evaluate", "--report", str(path), "--labels", str(labels),
+                   "--out", str(out)) == 0
+    return (out / "evaluation.json").read_text(encoding="utf-8")
+
+
+# Reader case: (file path under its directory, file text, reader of that path).
+BOM_CASES = {
+    "trace": ("corpus/demo/s0.trace", FIG_TREE_TEXT, _load_trace),
+    "classifier": ("classifier.txt", "lib.\n", _run_with_classifier),
+    "edge list": ("graph.tsv", "lib.A.a\tlib.A.b\t0.5\nlib.A.c\n", _read_edge_list),
+    "labels": ("labels.txt", "lib.A.a\tlib.A.b\n", RelatednessLabels.load),
+    "method sets": ("sets.txt", "lib.Ops.A,lib.Ops.B\n", _metrics_of_sets),
+    "ground truth": ("truth.txt", "lib.A.a,lib.A.b\nlib.B.c\n", load_ground_truth),
+    "report": ("report.json", json.dumps({
+        "schema": "apicomp-report/1",
+        "components": [{"id": 0, "center": "lib.Ops.A",
+                        "provided_interface": ["lib.Ops.A", "lib.Ops.B"]}]}),
+        _evaluate_report),
+}
+
+
+@pytest.mark.parametrize("case", list(BOM_CASES))
+def test_leading_byte_order_mark_is_ignored(tmp_path, case):
+    """A UTF-8 file that starts with a byte order mark reads as the same
+    file without it, for every text input."""
+    name, text, read = BOM_CASES[case]
+    results = []
+    for directory, prefix in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+        path = tmp_path / directory / name
+        path.parent.mkdir(parents=True)
+        path.write_bytes(prefix + text.encode("utf-8"))
+        results.append(read(path))
+    assert results[0] == results[1]
 
 
 class TestRun:

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from conftest import build_corpus, m, random_corpus
 
+from apicomp import graph_builder
 from apicomp.clusterer import Cluster, cluster
 from apicomp.graph_builder import (ApiGraph, GraphConfig, IntView, build_graph,
                                    read_edge_list, write_dot, write_edge_list)
@@ -69,6 +70,25 @@ class TestApiGraph:
         # both leaves outrank B and first, sorting first, is taken first.
         assert cluster(graph) == [Cluster(first, frozenset({first, B})),
                                   Cluster(A, frozenset({A, B}))]
+
+
+def test_edge_by_edge_build_renumbers_once(monkeypatch):
+    """``add_edge`` only records the edge, so a path built edge by edge from
+    an empty graph is numbered once, at the read after the adds."""
+    numbered, calls = graph_builder._numbered, []
+
+    def counted(*args):
+        calls.append(args)
+        return numbered(*args)
+
+    monkeypatch.setattr(graph_builder, "_numbered", counted)
+    path = [m(f"lib.Path.m{i:03d}") for i in range(300)]
+    graph = ApiGraph([])
+    calls.clear()
+    for u, v in zip(path, path[1:]):
+        graph.add_edge(u, v, 0.5)
+    assert graph.vertices == tuple(path) and graph.edge_count() == 299
+    assert len(calls) == 1
 
 
 POOL = [m(f"lib.P{i % 3}.m{i}") for i in range(7)]
@@ -178,7 +198,7 @@ def test_edge_weight_is_the_two_method_quality(seed, lambda_dist, lambda_weight)
 
 def reference_view(corpus: TraceCorpus, config: GraphConfig) -> IntView:
     """The view built by mutation: every vertex, then one ``add_edge`` per
-    kept table row, then the view derived from the edge dict."""
+    kept table row, then the one renumber the read after them makes."""
     engine = CorpusMetrics(corpus, config.metrics)
     graph = ApiGraph(engine.names)
     for (c, v), row in engine.table.items():

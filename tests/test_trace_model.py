@@ -418,6 +418,17 @@ class TestCorpusIO:
         assert "bad.trace" in str(err.value)
         assert err.value.line_no == 2
 
+    @pytest.mark.parametrize("prefix", [b"", b"\xef\xbb\xbf"])
+    def test_non_utf8_file_names_path_and_byte_from_file_start(self, tmp_path, prefix):
+        bad = tmp_path / "corpus" / "a" / "latin1.trace"
+        bad.parent.mkdir(parents=True)
+        bad.write_bytes(prefix + b"0\tlib.A.caf\xe9\n")
+        with pytest.raises(TraceParseError) as err:
+            load_corpus(bad.parent.parent)
+        assert err.value.path == str(bad) and err.value.line_no is None
+        assert str(err.value) == (f"{bad}: not UTF-8 text (invalid continuation byte "
+                                  f"at byte {len(prefix) + 11})")
+
     def test_classifier_file_loading(self, tmp_path):
         path = tmp_path / "classifier.txt"
         path.write_text("# api packages\nlib.\n\norg.api.\n", encoding="utf-8")
