@@ -361,9 +361,9 @@ class CorpusMetrics:
         return self.set_means(methods)[2]
 
     def quality(self, methods, weights: QualityWeights | None = None) -> float:
-        """Normalized lambda blend of the three set-level attributes."""
-        return (weights or QualityWeights()).blend(
-            self.call_freq(methods), self.call_dist(methods), self.call_weight(methods))
+        """Normalized lambda blend of the three set-level attributes, from one
+        ``set_means`` pass."""
+        return (weights or QualityWeights()).blend(*self.set_means(methods))
 
 
 # -- per-tree operations -----------------------------------------------------

@@ -114,6 +114,12 @@ class CallNode(Record):
 
     ``pinned`` carries a per-line API/APP override from the trace file;
     classification never changes a pinned node.
+
+    Two nodes compare equal when their subtrees give the same pre-order
+    ``(depth, method, origin, pinned)`` events; ``copy`` (shallow or deep)
+    and ``pickle`` rebuild the whole subtree from those events, so none of
+    the three recurses, at any depth. ``repr`` shows the node's own fields
+    and its child count, not its children.
     """
 
     __slots__ = _fields = ("method", "origin", "children", "pinned")
@@ -129,6 +135,44 @@ class CallNode(Record):
     @property
     def is_connector(self) -> bool:
         return self.method is None
+
+    def _values(self) -> list[tuple[int, MethodRef | None, Origin, Origin | None]]:
+        return [(depth, node.method, node.origin, node.pinned)
+                for depth, node in _walk(self)]
+
+    def __reduce__(self):
+        return _build, (self._values(),)
+
+    def __repr__(self) -> str:
+        return (f"CallNode(method={self.method!r}, origin={self.origin!r}, "
+                f"pinned={self.pinned!r}, len(children)={len(self.children)})")
+
+
+def _walk(root: CallNode) -> Iterator[tuple[int, CallNode]]:
+    """``(depth, node)`` of every node of the subtree at ``root``, in
+    pre-order, with ``root`` at depth 0; an explicit stack, because traces
+    can be far deeper than the recursion limit."""
+    stack = [(0, root)]
+    while stack:
+        depth, node = item = stack.pop()
+        yield item
+        for child in reversed(node.children):
+            stack.append((depth + 1, child))
+
+
+def _build(events) -> CallNode:
+    """The root of the tree whose pre-order ``(depth, method, origin,
+    pinned)`` events these are: the first at depth 0, each other one at
+    depth 1 to one more than the event before it, as ``_parse`` checks."""
+    # The last event made and its ancestors: chain[d] is the one at depth d.
+    chain: list[CallNode] = []
+    for depth, method, origin, pinned in events:
+        node = CallNode(method, origin, [], pinned)
+        if depth:
+            chain[depth - 1].children.append(node)
+            del chain[depth:]
+        chain.append(node)
+    return chain[0]
 
 
 class CallTree(Record):
@@ -160,23 +204,11 @@ class CallTree(Record):
 
     def edge_count(self) -> int:
         """Method-to-method invocation edges; connector edges do not count."""
-        total = 0
-        for node in self.nodes():
-            if not node.is_connector:
-                total += len(node.children)
-        return total
+        return sum(len(node.children) for node in self.method_nodes())
 
     def depth(self) -> int:
         """Edges on the longest root-to-leaf path (connector root included)."""
-        deepest = 0
-        stack = [(self.root, 0)]
-        while stack:
-            node, d = stack.pop()
-            if d > deepest:
-                deepest = d
-            for child in node.children:
-                stack.append((child, d + 1))
-        return deepest
+        return max(depth for depth, _ in _walk(self.root))
 
 
 class PrunedTree(CallTree):
@@ -298,17 +330,18 @@ def parse_trace_file(text: str, app_id: str, scenario_id: str, *,
     Raises:
         TraceParseError: empty input, bad depth sequence, unparsable names.
     """
-    return _parse(text, app_id, scenario_id, path, {}, _Verdicts(ApiClassifier(())))
+    return CallTree(app_id, scenario_id,
+                    _build(_parse(text, path, {}, _Verdicts(ApiClassifier(())))))
 
 
-def _parse(text: str, app_id: str, scenario_id: str, path: str | None,
-           methods: dict[str, MethodRef], verdicts: _Verdicts) -> CallTree:
-    """``parse_trace_file``, classifying each node as it is made, by the rule
+def _parse(text: str, path: str | None, methods: dict[str, MethodRef],
+           verdicts: _Verdicts) -> Iterator[tuple[int, MethodRef | None, Origin, Origin | None]]:
+    """The ``(depth, method, origin, pinned)`` event of each line of a trace
+    file, for ``_build``, checked as it is read and classified by the rule
     of ``classify`` over ``verdicts``. Callers that share ``methods``
     (qualified name to ``MethodRef``) and ``verdicts`` share one
     ``MethodRef`` per name and one verdict per class name."""
-    # The previous event and its ancestors: chain[d] is the one at depth d.
-    chain: list[CallNode] = []
+    last = -1  # the depth of the previous event
     line_no = 0
 
     def fail(message: str) -> TraceParseError:
@@ -340,12 +373,13 @@ def _parse(text: str, app_id: str, scenario_id: str, path: str | None,
             if len(parts) > 3 and any(p.strip() for p in parts[3:]):
                 raise fail("unexpected trailing fields")
 
-        # The origin rule of ``classify``: a connector root is API, a pinned
-        # origin wins, else the class's verdict (``Origin`` members are true).
+        # The origin rule of ``classify``: a connector root is API and
+        # unpinned, a pinned origin wins, else the class's verdict
+        # (``Origin`` members are true).
         if name == CONNECTOR_TOKEN:
-            if depth != 0 or chain:
+            if depth != 0 or last >= 0:
                 raise fail("connector marker is only valid as the root event")
-            node = CallNode(None, Origin.API, [], None)
+            method, origin, pinned = None, Origin.API, None
         else:
             method = methods.get(name)
             if method is None:
@@ -353,39 +387,32 @@ def _parse(text: str, app_id: str, scenario_id: str, path: str | None,
                     method = methods[name] = MethodRef.from_qualified(name)
                 except ValueError as exc:
                     raise fail(str(exc)) from None
-            node = CallNode(method, pinned or verdicts[method[0]], [], pinned)
+            origin = pinned or verdicts[method[0]]
 
-        if not chain:
+        if last < 0:
             if depth != 0:
                 raise fail(f"first event must have depth 0, got {depth}")
         elif depth == 0:
             raise fail("second depth-0 event; a scenario has a single root")
-        elif depth > len(chain):
+        elif depth > last + 1:
             raise fail(f"depth jump to {depth} with no open parent at depth {depth - 1}")
-        else:
-            chain[depth - 1].children.append(node)
-            del chain[depth:]
-        chain.append(node)
+        last = depth
+        yield depth, method, origin, pinned
 
-    if not chain:
+    if last < 0:
         raise TraceParseError("no call events in trace", path=path)
-    return CallTree(app_id, scenario_id, chain[0])
 
 
 def serialize_tree(tree: CallTree) -> str:
     """Render a call tree back to the trace file format (pre-order)."""
     lines: list[str] = []
-    stack: list[tuple[CallNode, int]] = [(tree.root, 0)]
-    while stack:
-        node, depth = stack.pop()
+    for depth, node in _walk(tree.root):
         if node.is_connector:
             lines.append(f"{depth}\t{CONNECTOR_TOKEN}")
         elif node.pinned is not None:
             lines.append(f"{depth}\t{node.method.qualified}\t{node.pinned.value}")
         else:
             lines.append(f"{depth}\t{node.method.qualified}")
-        for child in reversed(node.children):
-            stack.append((child, depth + 1))
     return "\n".join(lines) + "\n"
 
 
@@ -395,20 +422,14 @@ def classify(tree: CallTree, classifier: ApiClassifier) -> CallTree:
     The rule: a connector root is API, a pinned node keeps its pinned
     origin, and any other node takes its class's verdict, matched once per
     class name per tree. ``load_corpus`` applies the same rule, through the
-    same verdict cache, while parsing. Tree shape is unchanged and the
-    operation is idempotent.
+    same verdict cache, while parsing. The copy is built from the tree's
+    pre-order events with only their origins replaced, so its shape is the
+    input's, and the operation is idempotent.
     """
     verdicts = _Verdicts(classifier)
-    roots: list[CallNode] = []
-    stack = [(tree.root, roots)]
-    while stack:
-        old, siblings = stack.pop()
-        method, pinned = old.method, old.pinned
-        origin = Origin.API if method is None else pinned or verdicts[method[0]]
-        new = CallNode(method, origin, [], pinned)
-        siblings.append(new)
-        stack.extend((child, new.children) for child in reversed(old.children))
-    return type(tree)(tree.app_id, tree.scenario_id, roots[0])
+    return type(tree)(tree.app_id, tree.scenario_id, _build(
+        (depth, method, Origin.API if method is None else pinned or verdicts[method[0]], pinned)
+        for depth, method, _, pinned in tree.root._values()))
 
 
 def tree_stats(tree: CallTree) -> TraceStats:
@@ -472,9 +493,9 @@ def load_corpus(corpus_dir: str | Path, classifier: ApiClassifier | None = None,
             except ValueError as exc:
                 raise TraceParseError(str(exc).removeprefix(f"{trace_path}: "),
                                       path=str(trace_path)) from None
+            events = _parse(text, str(trace_path), methods, verdicts)
             trees.setdefault(app_dir.name, []).append(
-                _parse(text, app_dir.name, trace_path.stem, str(trace_path),
-                       methods, verdicts))
+                CallTree(app_dir.name, trace_path.stem, _build(events)))
     return TraceCorpus(trees)
 
 

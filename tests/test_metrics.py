@@ -175,10 +175,22 @@ class TestQuality:
 
     def test_equal_attributes_are_a_fixed_point(self, monkeypatch):
         engine = CorpusMetrics(build_corpus({"a": [("lib.O.a", ["lib.O.b"])]}))
-        monkeypatch.setattr(CorpusMetrics, "call_freq", lambda self, ms: 0.42)
-        monkeypatch.setattr(CorpusMetrics, "call_dist", lambda self, ms: 0.42)
-        monkeypatch.setattr(CorpusMetrics, "call_weight", lambda self, ms: 0.42)
+        monkeypatch.setattr(CorpusMetrics, "set_means", lambda self, ms: (0.42, 0.42, 0.42))
         assert engine.quality([m("lib.O.a"), m("lib.O.b")]) == pytest.approx(0.42)
+
+    def test_one_pass_over_the_set(self, monkeypatch, worked_corpus):
+        """``quality`` checks and scores its set once, and blends exactly the
+        three set-level attributes."""
+        engine = CorpusMetrics(worked_corpus)
+        calls = []
+        check_set = metrics._check_set
+        monkeypatch.setattr(metrics, "_check_set",
+                            lambda methods: calls.append(methods) or check_set(methods))
+        weights = QualityWeights(0.5, 1.0, 0.25)
+        value = engine.quality([E, D, C], weights)
+        assert len(calls) == 1
+        assert value == weights.blend(engine.call_freq([C, D, E]), engine.call_dist([C, D, E]),
+                                      engine.call_weight([C, D, E]))
 
     def test_worked_value_with_unit_lambdas(self, worked_corpus):
         assert quality([D, E], worked_corpus) == pytest.approx(169 / 270, abs=TOL)

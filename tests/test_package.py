@@ -86,10 +86,19 @@ class TestPackageNames:
         assert proc.stdout.strip() == "[]"
 
 
+# A 720-deep chain whose frames alternate between an application method
+# and four API methods: pruned, it is 360 deep.
+DEEP_CHAIN_TEXT = "".join(
+    f"{d}\tclient.Glue.forward\n" if d % 2 else f"{d}\tlib.Deep.m{d // 2 % 4}\n"
+    for d in range(720))
+
+
 @pytest.fixture
 def stages(tmp_path):
-    """Every stage output of a run over the 21-node example corpus."""
-    corpus_dir = write_corpus_dir(tmp_path, {"demo": {"s0": FIG_TREE_TEXT}})
+    """Every stage output of a run over the 21-node example corpus plus a
+    second app holding one deep chain."""
+    corpus_dir = write_corpus_dir(tmp_path, {"demo": {"s0": FIG_TREE_TEXT},
+                                             "deep": {"s0": DEEP_CHAIN_TEXT}})
     classifier = tmp_path / "classifier.txt"
     classifier.write_text("lib.\n", encoding="utf-8")
     corpus, pruned = load_pruned(corpus_dir, classifier)

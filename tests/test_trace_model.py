@@ -259,6 +259,21 @@ def test_serialize_parse_round_trip(tree):
     assert serialize_tree(parse_trace_file(text, "app", "s")) == text
 
 
+@given(call_trees(), st.booleans())
+def test_every_builder_path_rebuilds_the_tree(tree, connector):
+    """Parsing its text, ``deepcopy``, a ``pickle`` round trip and ``classify``
+    by a classifier that matches nothing give a new tree equal to a
+    parse-shaped one, with the same text."""
+    if connector:
+        tree = CallTree("app", "s", CallNode(None, Origin.API, tree.root.children))
+    text = serialize_tree(tree)
+    for rebuilt in (parse_trace_file(text, "app", "s"), copy.deepcopy(tree),
+                    pickle.loads(pickle.dumps(tree)), classify(tree, ApiClassifier(()))):
+        assert rebuilt == tree
+        assert serialize_tree(rebuilt) == text
+        assert rebuilt.root is not tree.root
+
+
 @given(call_trees())
 def test_classify_is_idempotent_and_preserves_shape(tree):
     classifier = ApiClassifier(("lib.",))
@@ -322,6 +337,56 @@ def test_tree_stats_matches_a_counter_reference_on_raw_and_pruned_trees(tree, cl
     classified = classify(tree, classifier)
     for shown in (tree, classified, prune(classified)):
         assert tree_stats(shown) == counter_stats(shown)
+
+
+# -- trees deeper than a recursive walk can go ---------------------------------
+
+_CHAIN_NAMES = ["lib.A.a", "lib.B.b", "app.M.m"]
+_CHAIN_PINS = ["", "", "", "", "\tAPI"]
+
+
+def chain_text(depth: int) -> str:
+    """A chain of ``depth`` events over three names, every fifth one pinned API."""
+    return "".join(f"{d}\t{_CHAIN_NAMES[d % 3]}{_CHAIN_PINS[d % 5]}\n" for d in range(depth))
+
+
+@pytest.mark.parametrize("depth", [150, 450, 5000])
+def test_deep_trees_compare_print_copy_and_pickle(depth):
+    text = chain_text(depth)
+    tree, again = (parse_trace_file(text, "app", "s") for _ in range(2))
+    assert tree == again
+    deep = list(again.nodes())[depth - 2]
+    deep.origin = Origin.API if deep.origin is Origin.APPLICATION else Origin.APPLICATION
+    assert tree != again
+    assert repr(tree) == ("CallTree(app_id='app', scenario_id='s', root=CallNode("
+                          "method=MethodRef(class_name='lib.A', method_name='a'), "
+                          "origin=<Origin.APPLICATION: 'APP'>, pinned=None, len(children)=1))")
+    pruned = prune(classify(tree, ApiClassifier(("lib.",))))
+    for clone in (copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
+        for original in (tree, pruned):
+            copied = clone(original)
+            assert type(copied) is type(original) and copied == original
+            assert len({id(n.method) for n in copied.method_nodes()}) == len(_CHAIN_NAMES)
+
+
+def test_every_tree_operation_completes_at_depth_5000():
+    depth = 5000
+    text = chain_text(depth)
+    tree = parse_trace_file(text, "app", "s")
+    assert serialize_tree(tree) == text
+    assert parse_trace_file(serialize_tree(tree), "app", "s") == tree
+    assert (tree.depth(), tree.edge_count(), tree.node_count()) == (depth - 1, depth - 1, depth)
+    classified = classify(tree, ApiClassifier(("lib.",)))
+    assert serialize_tree(classified) == text
+    assert classify(classified, ApiClassifier(("lib.",))) == classified
+    # A lib name, or the app name where it is pinned API.
+    repetitions = Counter(_CHAIN_NAMES[d % 3] for d in range(depth) if d % 3 != 2 or d % 5 == 4)
+    api, counts = sum(repetitions.values()), repetitions.values()
+    repeats = (len(repetitions), min(counts), max(counts), api / len(repetitions))
+    pruned = prune(classified)
+    assert (pruned.depth(), pruned.edge_count(), pruned.node_count()) == (api - 1, api - 1, api)
+    assert tree_stats(classified) == TraceStats(depth, repeats[0], depth - 1, *repeats[1:])
+    assert tree_stats(pruned) == TraceStats(api, repeats[0], api - 1, *repeats[1:])
 
 
 # -- classifying while loading, against classify ------------------------------
