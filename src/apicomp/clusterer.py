@@ -212,12 +212,11 @@ def refine_clusters(graph: ApiGraph, state: CoverState,
         containing[center] += 1
         containing.update(satellites[center])
 
+    # Only an alive center u inside the star of another alive center v is
+    # tested, so u is counted for both stars (containing[u] >= 2), and an
+    # empty ``own`` gives 0 > 0, False, with no guard.
     def is_useless(u: MethodRef) -> bool:
         own = satellites[u]
-        if not own:
-            return False
-        if containing[u] < 2:  # not a satellite of any other chosen star
-            return False
         shared = sum(1 for s in own if containing[s] >= 2)
         return 2 * shared > len(own)
 

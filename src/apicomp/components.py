@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Iterable, NamedTuple
 
 from .clusterer import Cluster
-from .trace_model import MethodRef, TraceCorpus, content_lines, method_at
+from .trace_model import MethodRef, TraceCorpus, _parents, content_lines, method_at
 
 
 class CallWitness(NamedTuple):
@@ -88,16 +88,15 @@ def _call_edges(
     by_caller: dict[MethodRef, list[tuple[int, MethodRef, CallWitness]]] = {}
     for app_id, trees in corpus.trees.items():
         for tree in trees:
-            for node in tree.nodes():
-                if node.method is None:
-                    continue
-                for child in node.children:
-                    key = (node.method, child.method)
-                    if key not in seen:
-                        by_caller.setdefault(node.method, []).append(
-                            (len(seen), child.method,
-                             CallWitness(app_id, tree.scenario_id, node.method)))
-                        seen.add(key)
+            events = tree.events
+            # Sorted (parent, child) index pairs are by caller in pre-order,
+            # then in child order; the root's (-1, 0) comes first and goes.
+            for parent, child in sorted(zip(_parents(events), range(len(events))))[1:]:
+                caller, callee = events[parent][1], events[child][1]
+                if caller is not None and (caller, callee) not in seen:
+                    by_caller.setdefault(caller, []).append(
+                        (len(seen), callee, CallWitness(app_id, tree.scenario_id, caller)))
+                    seen.add((caller, callee))
     return by_caller
 
 

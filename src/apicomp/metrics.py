@@ -37,7 +37,7 @@ from functools import reduce
 from operator import add
 from typing import Iterator, NamedTuple
 
-from .trace_model import CallTree, MethodRef, TraceCorpus
+from .trace_model import CallTree, MethodRef, TraceCorpus, _parents
 
 WEIGHT_FORMULAS = ("example", "literal")
 
@@ -129,31 +129,24 @@ def _index(tree: CallTree, ids: dict[MethodRef, int]):
     but never an occurrence, and its edges are not invocations.
     """
     n = len(ids)
-    parent: list[int] = []
-    depth: list[int] = []
-    labels: list[int] = []  # -1 for the connector root
+    events = tree.events
+    parent = _parents(events)
+    depth = [event[0] for event in events]
+    # A connector root's label is -1.
+    labels = [-1 if method is None else ids[method] for _, method, _, _ in events]
     occurrences: dict[int, list[int]] = {}
     direct_pairs: dict[int, int] = {}
     edge_total = 0
-    stack = [(tree.root, -1, 0)]
-    while stack:
-        node, parent_idx, d = stack.pop()
-        idx = len(labels)
-        label = -1 if node.method is None else ids[node.method]
-        labels.append(label)
-        parent.append(parent_idx)
-        depth.append(d)
+    for idx, label in enumerate(labels):
         if label >= 0:
             occurrences.setdefault(label, []).append(idx)
-            parent_label = labels[parent_idx] if parent_idx >= 0 else -1
+            parent_label = labels[parent[idx]] if idx else -1
             if parent_label >= 0:
                 edge_total += 1
                 if parent_label != label:
                     key = (parent_label * n + label if parent_label < label
                            else label * n + parent_label)
                     direct_pairs[key] = direct_pairs.get(key, 0) + 1
-        for child in reversed(node.children):
-            stack.append((child, idx, d + 1))
     return parent, depth, occurrences, direct_pairs, edge_total
 
 
@@ -244,8 +237,8 @@ class CorpusMetrics:
         if corpus.is_empty():
             raise ValueError("cannot evaluate metrics over an empty corpus")
         self.config = config or MetricConfig()
-        self.names: list[MethodRef] = sorted({node.method for tree in corpus.all_trees()
-                                              for node in tree.method_nodes()})
+        self.names: list[MethodRef] = sorted({event[1] for tree in corpus.all_trees()
+                                              for event in tree.events} - {None})
         self.ids: dict[MethodRef, int] = {m: i for i, m in enumerate(self.names)}
         self._apps = len(corpus.trees)
         self._table: dict[tuple[int, int], PairAffinity] | None = None
@@ -384,7 +377,7 @@ def average_path_length(c: MethodRef, v: MethodRef, tree: CallTree) -> float:
     """Mean tree path length in edges over all occurrence pairs of c and v;
     twice the tree depth, which scores 0, when either is absent."""
     _check_pair(c, v)
-    ids = {name: i for i, name in enumerate(sorted({n.method for n in tree.method_nodes()}))}
+    ids = {name: i for i, name in enumerate(sorted({e[1] for e in tree.events} - {None}))}
     parent, depth, occurrences, _, _ = _index(tree, ids)
     if c not in ids or v not in ids:
         return 2.0 * max(depth)

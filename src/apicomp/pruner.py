@@ -1,15 +1,16 @@
 """Remove application frames from call trees.
 
-Pruning copies every API node under its nearest kept ancestor in one
-pre-order pass, so the children of an APPLICATION node take its place in
-its parent's child list, preserving invocation order. When the root itself
-is an application frame, a synthetic connector root adopts the surviving
-top-level API subtrees so a scenario stays a single tree.
+Pruning keeps every API event of a tree's pre-order events in one pass,
+one level below its nearest kept ancestor, so the children of an
+APPLICATION node take its place in its parent's child list, preserving
+invocation order. When the root itself is an application frame, a synthetic
+connector root adopts the surviving top-level API subtrees so a scenario
+stays a single tree.
 """
 
 from __future__ import annotations
 
-from .trace_model import CallNode, CallTree, Origin, PrunedTree, TraceCorpus
+from .trace_model import CallTree, Origin, PrunedTree, TraceCorpus
 
 
 def prune(tree: CallTree) -> PrunedTree:
@@ -19,24 +20,21 @@ def prune(tree: CallTree) -> PrunedTree:
     subsequence of API ancestors it had before. A tree with no API nodes
     yields an empty pruned tree (connector root, zero children).
     """
-    root = tree.root
-    if root.is_connector or root.origin is Origin.API:
-        new_root = CallNode(root.method, root.origin, [], root.pinned)
-    else:
-        new_root = CallNode(None, Origin.API, [])
-    # (original node, copy of its nearest kept ancestor); an explicit stack
-    # because traces can be far deeper than the recursion limit.
+    events = tree.events
     api = Origin.API
-    stack = [(child, new_root) for child in reversed(root.children)]
-    while stack:
-        node, parent = stack.pop()
-        if node.origin is api:
-            copy = CallNode(node.method, api, [], node.pinned)
-            parent.children.append(copy)
-            parent = copy
-        for child in reversed(node.children):
-            stack.append((child, parent))
-    return PrunedTree(tree.app_id, tree.scenario_id, new_root)
+    root = events[0]
+    kept = [root if root[1] is None or root[2] is api else (0, None, api, None)]
+    # below[d]: the pruned depth that a kept descendant of the last event at
+    # raw depth d gets.
+    below = [1]
+    for depth, method, origin, pinned in events[1:]:
+        del below[depth:]
+        pruned_depth = below[-1]
+        if origin is api:
+            kept.append((pruned_depth, method, api, pinned))
+            pruned_depth += 1
+        below.append(pruned_depth)
+    return PrunedTree._of_events(tree.app_id, tree.scenario_id, kept)
 
 
 # _mapper: passed, and ignored, only by perfbench/traced.py; ROADMAP item 2 removes it.

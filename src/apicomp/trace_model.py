@@ -160,38 +160,78 @@ def _walk(root: CallNode) -> Iterator[tuple[int, CallNode]]:
             stack.append((depth + 1, child))
 
 
-def _build(events) -> CallNode:
+def _parents(events) -> list[int]:
+    """Each pre-order ``(depth, ...)`` event's parent index: the last event
+    before it one level up, or -1 for the root; the one reading of the tree
+    structure that the events hold."""
+    parents: list[int] = []
+    chain = [-1]  # chain[d + 1]: the index of the last event at depth d
+    for index, event in enumerate(events):
+        depth = event[0]
+        parents.append(chain[depth])
+        del chain[depth + 1:]
+        chain.append(index)
+    return parents
+
+
+def _build(events: list) -> CallNode:
     """The root of the tree whose pre-order ``(depth, method, origin,
     pinned)`` events these are: the first at depth 0, each other one at
     depth 1 to one more than the event before it, as ``_parse`` checks."""
-    # The last event made and its ancestors: chain[d] is the one at depth d.
-    chain: list[CallNode] = []
-    for depth, method, origin, pinned in events:
-        node = CallNode(method, origin, [], pinned)
-        if depth:
-            chain[depth - 1].children.append(node)
-            del chain[depth:]
-        chain.append(node)
-    return chain[0]
+    nodes = [CallNode(method, origin, [], pinned) for _, method, origin, pinned in events]
+    for node, parent in zip(nodes[1:], _parents(events)[1:]):
+        nodes[parent].children.append(node)
+    return nodes[0]
 
 
 class CallTree(Record):
-    """Rooted ordered tree of call events for one usage scenario."""
+    """Rooted ordered tree of call events for one usage scenario.
 
-    __slots__ = _fields = ("app_id", "scenario_id", "root")
+    A tree holds one form at a time. One from ``parse_trace_file``,
+    ``load_corpus``, ``classify`` or ``prune`` holds its pre-order ``(depth,
+    method, origin, pinned)`` events until ``root`` is first read or set;
+    that read builds the ``CallNode``s once and drops the events. ``events``
+    gives whichever form the tree holds as events, so it sees a change made
+    through ``root``.
+    """
+
+    __slots__ = ("app_id", "scenario_id", "_root", "_events")
+    _fields = ("app_id", "scenario_id", "root")
 
     def __init__(self, app_id: str, scenario_id: str, root: CallNode) -> None:
         self.app_id = app_id
         self.scenario_id = scenario_id
         self.root = root
 
+    @classmethod
+    def _of_events(cls, app_id: str, scenario_id: str, events: list) -> "CallTree":
+        tree = cls(app_id, scenario_id, None)
+        tree._events = events
+        return tree
+
+    @property
+    def root(self) -> CallNode:
+        """The root ``CallNode``; the first read builds the nodes from the
+        held events and drops them."""
+        if self._root is None:
+            self._root, self._events = _build(self._events), None
+        return self._root
+
+    @root.setter
+    def root(self, root: CallNode) -> None:
+        self._root, self._events = root, None
+
+    @property
+    def events(self) -> list[tuple[int, MethodRef | None, Origin, Origin | None]]:
+        """The tree's pre-order ``(depth, method, origin, pinned)`` events,
+        the root first at depth 0. The list can be the one the tree holds:
+        change the tree through ``root``, never through this list."""
+        return self._root._values() if self._events is None else self._events
+
     def nodes(self) -> Iterator[CallNode]:
         """All nodes in pre-order, including a connector root if present."""
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
+        for _, node in _walk(self.root):
             yield node
-            stack.extend(reversed(node.children))
 
     def method_nodes(self) -> Iterator[CallNode]:
         """Pre-order nodes that carry a method (connector excluded)."""
@@ -200,7 +240,7 @@ class CallTree(Record):
                 yield node
 
     def node_count(self) -> int:
-        return sum(1 for _ in self.method_nodes())
+        return sum(1 for event in self.events if event[1] is not None)
 
     def edge_count(self) -> int:
         """Method-to-method invocation edges; connector edges do not count."""
@@ -208,7 +248,7 @@ class CallTree(Record):
 
     def depth(self) -> int:
         """Edges on the longest root-to-leaf path (connector root included)."""
-        return max(depth for depth, _ in _walk(self.root))
+        return max(event[0] for event in self.events)
 
 
 class PrunedTree(CallTree):
@@ -330,17 +370,17 @@ def parse_trace_file(text: str, app_id: str, scenario_id: str, *,
     Raises:
         TraceParseError: empty input, bad depth sequence, unparsable names.
     """
-    return CallTree(app_id, scenario_id,
-                    _build(_parse(text, path, {}, _Verdicts(ApiClassifier(())))))
+    return CallTree._of_events(app_id, scenario_id,
+                               list(_parse(text, path, {}, _Verdicts(ApiClassifier(())))))
 
 
 def _parse(text: str, path: str | None, methods: dict[str, MethodRef],
            verdicts: _Verdicts) -> Iterator[tuple[int, MethodRef | None, Origin, Origin | None]]:
     """The ``(depth, method, origin, pinned)`` event of each line of a trace
-    file, for ``_build``, checked as it is read and classified by the rule
-    of ``classify`` over ``verdicts``. Callers that share ``methods``
-    (qualified name to ``MethodRef``) and ``verdicts`` share one
-    ``MethodRef`` per name and one verdict per class name."""
+    file, checked as it is read and classified by the rule of ``classify``
+    over ``verdicts``. Callers that share ``methods`` (qualified name to
+    ``MethodRef``) and ``verdicts`` share one ``MethodRef`` per name and one
+    verdict per class name."""
     last = -1  # the depth of the previous event
     line_no = 0
 
@@ -406,13 +446,13 @@ def _parse(text: str, path: str | None, methods: dict[str, MethodRef],
 def serialize_tree(tree: CallTree) -> str:
     """Render a call tree back to the trace file format (pre-order)."""
     lines: list[str] = []
-    for depth, node in _walk(tree.root):
-        if node.is_connector:
+    for depth, method, _, pinned in tree.events:
+        if method is None:
             lines.append(f"{depth}\t{CONNECTOR_TOKEN}")
-        elif node.pinned is not None:
-            lines.append(f"{depth}\t{node.method.qualified}\t{node.pinned.value}")
+        elif pinned is not None:
+            lines.append(f"{depth}\t{method.qualified}\t{pinned.value}")
         else:
-            lines.append(f"{depth}\t{node.method.qualified}")
+            lines.append(f"{depth}\t{method.qualified}")
     return "\n".join(lines) + "\n"
 
 
@@ -422,39 +462,35 @@ def classify(tree: CallTree, classifier: ApiClassifier) -> CallTree:
     The rule: a connector root is API, a pinned node keeps its pinned
     origin, and any other node takes its class's verdict, matched once per
     class name per tree. ``load_corpus`` applies the same rule, through the
-    same verdict cache, while parsing. The copy is built from the tree's
-    pre-order events with only their origins replaced, so its shape is the
-    input's, and the operation is idempotent.
+    same verdict cache, while parsing. The copy holds the tree's pre-order
+    events with only their origins replaced, so its shape is the input's,
+    and the operation is idempotent.
     """
     verdicts = _Verdicts(classifier)
-    return type(tree)(tree.app_id, tree.scenario_id, _build(
+    return type(tree)._of_events(tree.app_id, tree.scenario_id, [
         (depth, method, Origin.API if method is None else pinned or verdicts[method[0]], pinned)
-        for depth, method, _, pinned in tree.root._values()))
+        for depth, method, _, pinned in tree.events])
 
 
 def tree_stats(tree: CallTree) -> TraceStats:
-    """Summarize a classified tree, in one walk, level by level.
+    """Summarize a classified tree, in one pass over its events.
 
     ``nodes`` counts method nodes only. ``height`` is the longest chain of
     method invocations, so a synthetic connector root does not add a level.
     Repetition counts cover distinct API-origin methods; a tree without API
     nodes reports zero repetitions.
     """
+    events = tree.events
     repetitions: dict[MethodRef, int] = {}
-    nodes, height, api = 0, -1, Origin.API
-    level = [tree.root]
-    while level:  # one level of the tree per step, so no depth per node
-        height += 1
-        below: list[CallNode] = []
-        for node in level:
-            method = node.method
-            if method is not None:
-                nodes += 1
-                if node.origin is api:
-                    repetitions[method] = repetitions.get(method, 0) + 1
-            below += node.children
-        level = below
-    if tree.root.is_connector and height > 0:
+    nodes, height, api = 0, 0, Origin.API
+    for depth, method, origin, _ in events:
+        if depth > height:
+            height = depth
+        if method is not None:
+            nodes += 1
+            if origin is api:
+                repetitions[method] = repetitions.get(method, 0) + 1
+    if events[0][1] is None and height > 0:
         height -= 1
     if not repetitions:
         return TraceStats(nodes, 0, height, 0, 0, 0.0)
@@ -493,9 +529,9 @@ def load_corpus(corpus_dir: str | Path, classifier: ApiClassifier | None = None,
             except ValueError as exc:
                 raise TraceParseError(str(exc).removeprefix(f"{trace_path}: "),
                                       path=str(trace_path)) from None
-            events = _parse(text, str(trace_path), methods, verdicts)
+            events = list(_parse(text, str(trace_path), methods, verdicts))
             trees.setdefault(app_dir.name, []).append(
-                CallTree(app_dir.name, trace_path.stem, _build(events)))
+                CallTree._of_events(app_dir.name, trace_path.stem, events))
     return TraceCorpus(trees)
 
 

@@ -217,3 +217,21 @@ def test_sources_parse_at_the_declared_python_floor(path):
     pyproject.toml accepts. This checks syntax only: a stdlib module or
     function newer than the floor still passes."""
     ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=_declared_floor())
+
+
+def test_only_trace_model_knows_the_node_structure():
+    """No ``src/`` module but ``trace_model``, which defines ``CallNode``, and
+    ``synth``, which generates trees as a library caller, names ``CallNode``
+    or reads an attribute ``root`` or ``children``: every computation reads
+    a tree's pre-order ``events``."""
+    found = []
+    for path in sorted((ROOT / "src" / "apicomp").glob("*.py")):
+        if path.name in ("trace_model.py", "synth.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Name) and node.id == "CallNode"
+                    or isinstance(node, ast.alias) and node.name == "CallNode"
+                    or isinstance(node, ast.Attribute)
+                    and node.attr in ("CallNode", "root", "children")):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
