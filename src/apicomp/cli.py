@@ -126,7 +126,7 @@ def cmd_generate(args) -> int:
 
 def cmd_prune(args) -> int:
     corpus, pruned = load_pruned(args.corpus, args.classifier)
-    if pruned is None:
+    if corpus.is_empty():
         print("empty corpus: nothing to prune", file=sys.stderr)
         return EXIT_EMPTY
     write_corpus(pruned, args.out)
@@ -140,8 +140,8 @@ def cmd_prune(args) -> int:
 def cmd_metrics(args) -> int:
     import csv  # only this command writes CSV
 
-    _, pruned = load_pruned(args.corpus, args.classifier)
-    if pruned is None:
+    corpus, pruned = load_pruned(args.corpus, args.classifier)
+    if corpus.is_empty():
         print("empty corpus: no metrics to compute", file=sys.stderr)
         return EXIT_EMPTY
     engine = CorpusMetrics(pruned, _metric_config_from(args))
@@ -167,8 +167,8 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    _, pruned = load_pruned(args.corpus, args.classifier)
-    if pruned is None:
+    corpus, pruned = load_pruned(args.corpus, args.classifier)
+    if corpus.is_empty():
         print("empty corpus: no graph to build", file=sys.stderr)
         return EXIT_EMPTY
     config = GraphConfig(weights=_weights_from(args),

@@ -167,7 +167,7 @@ def initial_clusters(graph: ApiGraph,
     twin = {members: i for i, members in enumerate(closed)}  # one vertex per N[v]
     quality = {members: _members_quality(members, view) for members in twin}
     qualities = [quality[members] for members in closed]
-    rank = {members: (_uncovered_share(adjacency[i], ())
+    rank = {members: ((1.0 if adjacency[i] else 0.0)
                       + _compactness(adjacency[i], qualities, qualities[i], config)) / 2.0
             for members, i in twin.items()}
     rq = [rank[members] for members in closed]
@@ -242,8 +242,6 @@ def refine_clusters(graph: ApiGraph, state: CoverState,
 
 def cluster(graph: ApiGraph, config: ClusterConfig | None = None) -> list[Cluster]:
     """Run both phases; an empty graph yields no clusters."""
-    if len(graph) == 0:
-        return []
     config = config or ClusterConfig()
     return refine_clusters(graph, initial_clusters(graph, config), config)
 

@@ -210,10 +210,10 @@ def read_edge_list(path: str | Path) -> ApiGraph:
         except ValueError:
             raise ValueError(f"{path}:{line_no}: weight {parts[2]!r} is not a number"
                              ) from None
-        if u == v:
-            raise ValueError(f"{path}:{line_no}: self-loop on {u}")
-        if not 0.0 <= w <= 1.0:
-            raise ValueError(f"{path}:{line_no}: edge weight must be in [0, 1], got {w}")
+        try:
+            _check_edge(u, v, w)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{line_no}: {exc}") from None
         vertices.update((u, v))
         key = (u, v) if u < v else (v, u)
         if key not in edges:

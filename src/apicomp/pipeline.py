@@ -1,9 +1,11 @@
 """End-to-end orchestration: parse, classify, prune, score, cluster, report.
 
 The front of the chain, corpus to pruned corpus, is ``load_pruned``, which
-every subcommand that reads a corpus calls. Every stage runs serially, in
-input order: threads never measured faster on these pure-Python per-tree
-steps, so there is no pool.
+every subcommand that reads a corpus calls. Every corpus runs one chain:
+each stage maps empty input to empty output, so an empty corpus needs no
+branch here, and only the CLI turns it into an exit code. Every stage runs
+serially, in input order: threads never measured faster on these
+pure-Python per-tree steps, so there is no pool.
 """
 
 from __future__ import annotations
@@ -56,34 +58,30 @@ class RunConfig(Record):
 
 
 def load_pruned(corpus_dir: str | Path, classifier_path: str | Path | None
-                ) -> tuple[TraceCorpus, TraceCorpus | None]:
-    """Load and classify a corpus, then prune it: ``(corpus, pruned)``, with
-    ``pruned`` None for an empty corpus. Without a classifier file every
+                ) -> tuple[TraceCorpus, TraceCorpus]:
+    """Load and classify a corpus, then prune it: ``(corpus, pruned)``. An
+    empty corpus gives an empty ``pruned``. Without a classifier file every
     method is API."""
     classifier = (ApiClassifier.load(classifier_path) if classifier_path
                   else ApiClassifier.match_all())
     corpus = load_corpus(corpus_dir, classifier)
-    if corpus.is_empty():
-        return corpus, None
     return corpus, prune_corpus(corpus)
 
 
 def run_pipeline(config: RunConfig) -> dict:
     """Run all stages and write the report; returns the report dict.
 
-    An empty corpus yields a minimal report with ``corpus.empty`` set, so
-    callers can exit distinctly without treating it as a failure.
+    Every corpus runs the same chain. An empty one flows through every stage
+    to a report with ``corpus.empty`` set and no trees, vertices or
+    components; deciding what that means, such as the CLI's exit code 3,
+    is left to the caller.
     """
     graph_config = GraphConfig(weights=config.weights,
                                edge_threshold=config.edge_threshold,
                                metrics=config.metric_config)
     corpus, pruned = load_pruned(config.corpus_dir, config.classifier_path)
-    if pruned is None:
-        report = build_report(config.config_echo(), corpus, None, None, [])
-    else:
-        graph = build_graph(pruned, graph_config)
-        components = assemble(cluster(graph, config.cluster_config), pruned)
-        report = build_report(config.config_echo(), corpus, pruned, graph,
-                              components)
+    graph = build_graph(pruned, graph_config)
+    components = assemble(cluster(graph, config.cluster_config), pruned)
+    report = build_report(config.config_echo(), corpus, pruned, graph, components)
     write_report(report, config.out_dir)
     return report

@@ -25,19 +25,18 @@ EVALUATION_SCHEMA = "apicomp-evaluation/1"
 
 def _stats_rows(corpus: TraceCorpus) -> list[dict]:
     rows = []
-    for app_id in sorted(corpus.trees):
-        for tree in corpus.trees[app_id]:
-            s = tree_stats(tree)
-            rows.append({
-                "app": app_id,
-                "scenario": tree.scenario_id,
-                "nodes": s.nodes,
-                "unique_api_methods": s.unique_api_methods,
-                "height": s.height,
-                "min_repetition": s.min_repetition,
-                "max_repetition": s.max_repetition,
-                "avg_repetition": s.avg_repetition,
-            })
+    for tree in corpus.all_trees():
+        s = tree_stats(tree)
+        rows.append({
+            "app": tree.app_id,
+            "scenario": tree.scenario_id,
+            "nodes": s.nodes,
+            "unique_api_methods": s.unique_api_methods,
+            "height": s.height,
+            "min_repetition": s.min_repetition,
+            "max_repetition": s.max_repetition,
+            "avg_repetition": s.avg_repetition,
+        })
     rows.sort(key=lambda r: (r["app"], r["scenario"]))
     return rows
 
@@ -72,10 +71,10 @@ def _component_entries(components: list[Component]) -> list[dict]:
     return entries
 
 
-def build_report(config_echo: dict, corpus: TraceCorpus,
-                 pruned: TraceCorpus | None, graph: ApiGraph | None,
-                 components: list[Component]) -> dict:
-    """Assemble the full run report; pass None stages for an empty corpus."""
+def build_report(config_echo: dict, corpus: TraceCorpus, pruned: TraceCorpus,
+                 graph: ApiGraph, components: list[Component]) -> dict:
+    """Assemble the full run report from every stage's output; for an empty
+    corpus those outputs are empty too."""
     stats = component_stats(components)
     return {
         "schema": REPORT_SCHEMA,
@@ -86,10 +85,10 @@ def build_report(config_echo: dict, corpus: TraceCorpus,
             "empty": corpus.is_empty(),
         },
         "call_tree_stats": _stats_rows(corpus),
-        "pruned_tree_stats": _stats_rows(pruned) if pruned is not None else [],
+        "pruned_tree_stats": _stats_rows(pruned),
         "graph": {
-            "vertices": len(graph) if graph is not None else 0,
-            "edges": graph.edge_count() if graph is not None else 0,
+            "vertices": len(graph),
+            "edges": graph.edge_count(),
         },
         "components": _component_entries(components),
         "component_stats": {

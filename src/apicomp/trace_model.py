@@ -244,7 +244,8 @@ class CallTree(Record):
 
     def edge_count(self) -> int:
         """Method-to-method invocation edges; connector edges do not count."""
-        return sum(len(node.children) for node in self.method_nodes())
+        events = self.events
+        return sum(1 for parent in _parents(events)[1:] if events[parent][1] is not None)
 
     def depth(self) -> int:
         """Edges on the longest root-to-leaf path (connector root included)."""

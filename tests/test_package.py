@@ -210,7 +210,8 @@ def _declared_floor() -> tuple[int, int]:
 
 
 @pytest.mark.parametrize("path", sorted(
-    [*(ROOT / "src" / "apicomp").glob("*.py"), *(ROOT / "tests").glob("*.py")]),
+    [*(ROOT / "src" / "apicomp").glob("*.py"), *(ROOT / "tests").glob("*.py"),
+     *(ROOT / "tools").glob("*.py")]),
     ids=lambda path: f"{path.parent.name}/{path.name}")
 def test_sources_parse_at_the_declared_python_floor(path):
     """Every module parses with the grammar of the oldest Python that

@@ -27,7 +27,21 @@ from apicomp.trace_model import (ApiClassifier, CallNode, CallTree, MethodRef, O
 LIB = ApiClassifier(("lib.",))
 
 
-def test_the_run_path_builds_no_call_node(tmp_path, monkeypatch):
+@pytest.fixture
+def built(monkeypatch):
+    """Every ``CallNode`` built from the moment a test asks for this list."""
+    nodes = []
+    init = CallNode.__init__
+
+    def counted(self, *args, **kwargs):
+        nodes.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CallNode, "__init__", counted)
+    return nodes
+
+
+def test_the_run_path_builds_no_call_node(tmp_path, request):
     """``run_pipeline`` over the golden corpus plus a 450-deep chain in which
     every third frame is an application frame."""
     corpus_dir = tmp_path / "corpus"
@@ -36,34 +50,27 @@ def test_the_run_path_builds_no_call_node(tmp_path, monkeypatch):
     (corpus_dir / "chain" / "s0.trace").write_text(chain_text(450), encoding="utf-8")
     classifier = corpus_dir / "classifier.txt"
     classifier.write_text(classifier.read_text(encoding="utf-8") + "lib.\n", encoding="utf-8")
-    built = []
-    init = CallNode.__init__
-
-    def counted(self, *args, **kwargs):
-        built.append(self)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(CallNode, "__init__", counted)
+    built = request.getfixturevalue("built")
     report = run_pipeline(RunConfig(corpus_dir, tmp_path / "out", classifier))
     assert report["components"] and len(report["call_tree_stats"]) == 10
     assert built == []
 
 
-def _parsed(tmp_path):
-    return parse_trace_file(chain_text(450), "app", "s")
+def _parsed(tmp_path, text=chain_text(450)):
+    return parse_trace_file(text, "app", "s")
 
 
-def _loaded(tmp_path):
-    corpus_dir = write_corpus_dir(tmp_path, {"app": {"s": chain_text(450)}})
+def _loaded(tmp_path, text=chain_text(450)):
+    corpus_dir = write_corpus_dir(tmp_path, {"app": {"s": text}})
     return load_corpus(corpus_dir, LIB).trees["app"][0]
 
 
-def _classified(tmp_path):
-    return classify(_parsed(tmp_path), LIB)
+def _classified(tmp_path, text=chain_text(450)):
+    return classify(_parsed(tmp_path, text), LIB)
 
 
-def _pruned(tmp_path):
-    return prune(_classified(tmp_path))
+def _pruned(tmp_path, text=chain_text(450)):
+    return prune(_classified(tmp_path, text))
 
 
 @pytest.mark.parametrize("source", [_parsed, _loaded, _classified, _pruned],
@@ -94,3 +101,25 @@ def test_parents_gives_the_parent_index_of_every_event(tree, connector):
         for child in node.children:
             expected[position[id(child)]] = i
     assert trace_model._parents(tree.events) == expected
+
+
+# A chain with application frames, then siblings at depths 1 to 3.
+BRANCHING_TEXT = chain_text(40) + "1\tlib.Z.z\n2\tapp.Y.y\n3\tlib.X.x\n3\tlib.Z.z\n1\tapp.W.w\n"
+
+
+def _with_connector(text):
+    rows = (line.split("\t", 1) for line in text.splitlines(keepends=True))
+    return "0\t<connector>\n" + "".join(f"{int(depth) + 1}\t{rest}" for depth, rest in rows)
+
+
+@pytest.mark.parametrize("connector", [False, True], ids=["method_root", "connector_root"])
+@pytest.mark.parametrize("source", [_parsed, _loaded, _classified, _pruned],
+                         ids=["parse_trace_file", "load_corpus", "classify", "prune"])
+def test_edge_count_reads_the_events(tmp_path, request, source, connector):
+    text = _with_connector(BRANCHING_TEXT) if connector else BRANCHING_TEXT
+    tree = source(tmp_path, text)
+    node_form = CallTree("app", "s", trace_model._build(tree.events))
+    expected = sum(len(node.children) for node in node_form.method_nodes())
+    built = request.getfixturevalue("built")
+    assert tree.edge_count() == expected
+    assert built == []
