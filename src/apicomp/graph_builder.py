@@ -146,8 +146,6 @@ def build_graph(corpus: TraceCorpus, config: GraphConfig | None = None,
     """
     config = config or GraphConfig()
     graph = ApiGraph(())
-    if corpus.is_empty():
-        return graph
     engine = CorpusMetrics(corpus, config.metrics)
     names, blend, threshold = engine.names, config.weights.blend, config.edge_threshold
     adjacency: list[list[int]] = [[] for _ in names]

@@ -228,14 +228,13 @@ class CorpusMetrics:
     accessors are table lookups; a pair that never co-occurs scores 0.0 on
     all four. Over a one-tree corpus each total is its one term divided by
     1, so the scores are that tree's own, as the per-tree functions return
-    them.
+    them. An empty corpus has no names and no rows, so every pair scores
+    0.0.
     """
 
     _ABSENT = PairAffinity(0.0, 0.0, 0.0, 0.0)
 
     def __init__(self, corpus: TraceCorpus, config: MetricConfig | None = None) -> None:
-        if corpus.is_empty():
-            raise ValueError("cannot evaluate metrics over an empty corpus")
         self.config = config or MetricConfig()
         self.names: list[MethodRef] = sorted({event[1] for tree in corpus.all_trees()
                                               for event in tree.events} - {None})

@@ -11,6 +11,7 @@ pure-Python per-tree steps, so there is no pool.
 from __future__ import annotations
 
 from pathlib import Path
+from typing import NamedTuple
 
 from .clusterer import ClusterConfig, cluster
 from .components import assemble
@@ -18,27 +19,19 @@ from .graph_builder import GraphConfig, build_graph
 from .metrics import MetricConfig, QualityWeights
 from .pruner import prune_corpus
 from .report import build_report, write_report
-from .trace_model import ApiClassifier, Record, TraceCorpus, load_corpus
+from .trace_model import ApiClassifier, TraceCorpus, load_corpus
 
 
-class RunConfig(Record):
-    __slots__ = _fields = ("corpus_dir", "out_dir", "classifier_path", "weights",
-                           "edge_threshold", "metric_config", "cluster_config", "jobs")
-
-    def __init__(self, corpus_dir: Path, out_dir: Path, classifier_path: Path | None = None,
-                 weights: QualityWeights = QualityWeights(), edge_threshold: float = 0.0,
-                 metric_config: MetricConfig = MetricConfig(),
-                 cluster_config: ClusterConfig = ClusterConfig(),
-                 # Read only by perfbench/traced.py; ROADMAP item 2 removes it.
-                 jobs: int = 1) -> None:
-        self.corpus_dir = corpus_dir
-        self.out_dir = out_dir
-        self.classifier_path = classifier_path
-        self.weights = weights
-        self.edge_threshold = edge_threshold
-        self.metric_config = metric_config
-        self.cluster_config = cluster_config
-        self.jobs = jobs
+class RunConfig(NamedTuple):
+    corpus_dir: Path
+    out_dir: Path
+    classifier_path: Path | None = None
+    weights: QualityWeights = QualityWeights()
+    edge_threshold: float = 0.0
+    metric_config: MetricConfig = MetricConfig()
+    cluster_config: ClusterConfig = ClusterConfig()
+    # Read only by perfbench/traced.py; ROADMAP item 2 removes it.
+    jobs: int = 1
 
     def config_echo(self) -> dict:
         """Analysis configuration recorded in the report: every switch that

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .components import Component, RelatednessLabels, component_stats, precision
 from .graph_builder import ApiGraph
-from .trace_model import MethodRef, TraceCorpus, tree_stats
+from .trace_model import MethodRef, TraceCorpus, TraceStats, tree_stats
 
 REPORT_SCHEMA = "apicomp-report/2"
 # Report schemas evaluation reads: their components have the same layout.
@@ -23,20 +23,14 @@ EVALUABLE_SCHEMAS = ("apicomp-report/1", REPORT_SCHEMA)
 EVALUATION_SCHEMA = "apicomp-evaluation/1"
 
 
+# The keys of a tree-stats row, in column order; a report read back from
+# ``report.json`` has its keys sorted.
+_STATS_KEYS = ("app", "scenario", *TraceStats._fields)
+
+
 def _stats_rows(corpus: TraceCorpus) -> list[dict]:
-    rows = []
-    for tree in corpus.all_trees():
-        s = tree_stats(tree)
-        rows.append({
-            "app": tree.app_id,
-            "scenario": tree.scenario_id,
-            "nodes": s.nodes,
-            "unique_api_methods": s.unique_api_methods,
-            "height": s.height,
-            "min_repetition": s.min_repetition,
-            "max_repetition": s.max_repetition,
-            "avg_repetition": s.avg_repetition,
-        })
+    rows = [{"app": tree.app_id, "scenario": tree.scenario_id, **tree_stats(tree)._asdict()}
+            for tree in corpus.all_trees()]
     rows.sort(key=lambda r: (r["app"], r["scenario"]))
     return rows
 
@@ -106,9 +100,7 @@ def _stats_table(rows: list[dict]) -> list[str]:
     header = ("app", "scenario", "nodes", "unique_api", "height",
               "min_rep", "max_rep", "avg_rep")
     table = [tuple(str(r[k]) if not isinstance(r[k], float) else f"{r[k]:g}"
-                   for k in ("app", "scenario", "nodes", "unique_api_methods",
-                             "height", "min_repetition", "max_repetition",
-                             "avg_repetition"))
+                   for k in _STATS_KEYS)
              for r in rows]
     widths = [max(len(h), *(len(row[i]) for row in table))
               for i, h in enumerate(header)]

@@ -14,7 +14,7 @@ under ``client.App<a>``; the matching classifier prefixes are ``plant`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from pathlib import Path
 
 from .rng import SplitMix64
@@ -24,20 +24,16 @@ from .trace_model import (ApiClassifier, CallNode, CallTree, MethodRef, TraceCor
 API_PREFIXES = ("plant", "noise")
 
 
-@dataclass(frozen=True)
-class PlantSpec:
+class PlantSpec(namedtuple("PlantSpec", "component_count methods_per_component "
+                           "inter_call_prob trees_per_app app_count tree_depth "
+                           "noise_prob seed",
+                           defaults=(2, (4, 6), 0.0, 4, 2, (2, 4), 0.0, 0))):
     """Shape of a synthetic corpus; the same spec always yields the same corpus."""
 
-    component_count: int = 2
-    methods_per_component: tuple[int, int] = (4, 6)
-    inter_call_prob: float = 0.0
-    trees_per_app: int = 4
-    app_count: int = 2
-    tree_depth: tuple[int, int] = (2, 4)
-    noise_prob: float = 0.0
-    seed: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> "PlantSpec":
+        self = super().__new__(cls, *args, **kwargs)
         if self.component_count < 1 or self.trees_per_app < 1 or self.app_count < 1:
             raise ValueError("component, tree and app counts must be >= 1")
         lo, hi = self.methods_per_component
@@ -51,6 +47,7 @@ class PlantSpec:
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {p}")
+        return self
 
 
 def _component_methods(spec: PlantSpec, rng: SplitMix64) -> list[list[MethodRef]]:

@@ -19,7 +19,7 @@ usage scenario (the file stem is the scenario id).
 from __future__ import annotations
 
 import enum
-from operator import itemgetter
+from collections import namedtuple
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
@@ -51,10 +51,10 @@ class Origin(enum.Enum):
     API = "API"
 
 
-class MethodRef(tuple):
-    """Fully qualified method identity: a tuple equal to
-    ``(class_name, method_name)``, so hashing, equality and ordering are the
-    tuple's, class first."""
+class MethodRef(namedtuple("MethodRef", "class_name method_name")):
+    """Fully qualified method identity: the qualified name split at its last
+    ``.``. A named tuple, so hashing, equality and ordering are the tuple's,
+    class first."""
 
     __slots__ = ()
 
@@ -62,15 +62,6 @@ class MethodRef(tuple):
         if not class_name or not method_name:
             raise ValueError("class_name and method_name must be non-empty")
         return tuple.__new__(cls, (class_name, method_name))
-
-    class_name = property(itemgetter(0), doc="The qualified name before its last ``.``.")
-    method_name = property(itemgetter(1), doc="The qualified name after its last ``.``.")
-
-    def __getnewargs__(self) -> tuple[str, str]:
-        return tuple(self)
-
-    def __repr__(self) -> str:
-        return f"MethodRef(class_name={self[0]!r}, method_name={self[1]!r})"
 
     @property
     def qualified(self) -> str:
@@ -192,7 +183,8 @@ class CallTree(Record):
     method, origin, pinned)`` events until ``root`` is first read or set;
     that read builds the ``CallNode``s once and drops the events. ``events``
     gives whichever form the tree holds as events, so it sees a change made
-    through ``root``.
+    through ``root``. Two trees compare by ids and ``events``, so ``==``
+    builds no node; ``repr`` shows ``root``.
     """
 
     __slots__ = ("app_id", "scenario_id", "_root", "_events")
@@ -202,6 +194,9 @@ class CallTree(Record):
         self.app_id = app_id
         self.scenario_id = scenario_id
         self.root = root
+
+    def _values(self) -> tuple:
+        return self.app_id, self.scenario_id, self.events
 
     @classmethod
     def _of_events(cls, app_id: str, scenario_id: str, events: list) -> "CallTree":

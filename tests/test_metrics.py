@@ -195,9 +195,16 @@ class TestQuality:
     def test_worked_value_with_unit_lambdas(self, worked_corpus):
         assert quality([D, E], worked_corpus) == pytest.approx(169 / 270, abs=TOL)
 
-    def test_empty_corpus_rejected(self):
-        with pytest.raises(ValueError):
-            CorpusMetrics(TraceCorpus({}))
+    def test_empty_corpus_scores_nothing(self):
+        """Empty in, empty out: no names, no rows, and every pair and set
+        scores 0.0."""
+        engine = CorpusMetrics(TraceCorpus({}), MetricConfig("literal"))
+        assert engine.names == [] and engine.ids == {}
+        assert list(engine.rows()) == [] and engine.table == {}
+        assert engine.co_occurring_pairs() == []
+        assert engine.pair_affinity(A, B) == PairAffinity(0.0, 0.0, 0.0, 0.0)
+        assert engine.set_means([A, B, C]) == (0.0, 0.0, 0.0)
+        assert quality([A, B], TraceCorpus({})) == 0.0
 
 
 class TestDistancePairCap:

@@ -3,7 +3,8 @@
 ``apicomp`` resolves its public names on first use, and its records are
 named tuples or slotted classes rather than dataclasses. These tests pin
 what callers may rely on: every public name, pickling and deep copies,
-immutability of the configs and value records, and unhashable trees.
+immutability and tuple hashing of the configs and value records, and
+unhashable trees.
 """
 
 import ast
@@ -27,6 +28,7 @@ from apicomp.components import (CallWitness, Component, ComponentStats,
 from apicomp.graph_builder import GraphConfig, build_graph
 from apicomp.metrics import MetricConfig, QualityWeights
 from apicomp.pipeline import RunConfig, load_pruned
+from apicomp.synth import PlantSpec
 from apicomp.trace_model import (ApiClassifier, CallNode, CallTree, MethodRef, Origin,
                                  PrunedTree, TraceCorpus, TraceStats)
 
@@ -115,6 +117,8 @@ CONFIGS = [
     RunConfig(Path("corpus"), Path("out"), Path("classifier.txt"),
               edge_threshold=0.2, cluster_config=ClusterConfig("caption"), jobs=2),
     ApiClassifier(("lib.", "org.")),
+    MethodRef("x.C", "a"),
+    PlantSpec(component_count=3, methods_per_component=(2, 5), noise_prob=0.25, seed=7),
 ]
 
 
@@ -161,6 +165,9 @@ class TestRecordContracts:
         (ComponentStats(0, 0.0, 0.0), "count"),
         (Cluster(MethodRef("x.C", "a"), frozenset()), "members"),
         (RelatednessLabels(frozenset()), "pairs"),
+        (RunConfig(Path("corpus"), Path("out")), "out_dir"),
+        (PlantSpec(), "seed"),
+        (MethodRef("x.C", "a"), "method_name"),
     ], ids=lambda x: type(x).__name__ if not isinstance(x, str) else x)
     def test_formerly_frozen_records_reject_assignment(self, record, field):
         with pytest.raises(AttributeError):
@@ -175,13 +182,21 @@ class TestRecordContracts:
         CallNode(MethodRef("x.C", "a")),
         CallTree("app", "s0", CallNode(MethodRef("x.C", "a"))),
         TraceCorpus({}),
-        RunConfig(Path("corpus"), Path("out")),
         CoverState([], set()),
         Component(MethodRef("x.C", "a"), frozenset(), frozenset(), frozenset()),
     ], ids=lambda r: type(r).__name__)
     def test_mutable_records_are_unhashable(self, record):
         with pytest.raises(TypeError):
             hash(record)
+
+    @pytest.mark.parametrize("record", [
+        RunConfig(Path("corpus"), Path("out"), jobs=2),
+        PlantSpec(seed=3),
+        MethodRef("x.C", "a"),
+    ], ids=lambda r: type(r).__name__)
+    def test_value_records_hash_and_compare_as_their_tuples(self, record):
+        assert hash(record) == hash(tuple(record))
+        assert record == tuple(record) == type(record)(*record)
 
     def test_tree_equality_is_field_wise_and_class_exact(self):
         def node():
@@ -234,5 +249,23 @@ def test_only_trace_model_knows_the_node_structure():
                     or isinstance(node, ast.alias) and node.name == "CallNode"
                     or isinstance(node, ast.Attribute)
                     and node.attr in ("CallNode", "root", "children")):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_no_record_is_a_dataclass_or_a_hand_written_tuple():
+    """No ``src/`` module imports ``dataclasses``, and every class that
+    subclasses ``tuple`` does so through ``namedtuple`` or ``NamedTuple``,
+    so no record restates the fields, repr, pickling or hash a named tuple
+    gives."""
+    found = []
+    for path in sorted((ROOT / "src" / "apicomp").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Import)
+                    and any(alias.name == "dataclasses" for alias in node.names)
+                    or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+                    or isinstance(node, ast.ClassDef)
+                    and any(isinstance(base, ast.Name) and base.id == "tuple"
+                            for base in node.bases)):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []

@@ -1,12 +1,17 @@
 """One stage chain for every corpus: an empty corpus runs every stage of
-``run_pipeline`` and gives the empty report, and no stage output is None."""
+``run_pipeline`` and gives the empty report, and no stage output is None.
+A report read back from ``report.json`` renders as the run rendered it."""
 
 import json
+import re
 
 import pytest
 
+from conftest import FIG_TREE_TEXT, write_corpus_dir
+
 from apicomp import pipeline
 from apicomp.pipeline import RunConfig, load_pruned, run_pipeline
+from apicomp.report import render_report_text
 from apicomp.trace_model import TraceCorpus
 
 
@@ -52,3 +57,38 @@ def test_load_pruned_gives_an_empty_pruned_corpus(empty_dir):
     corpus, pruned = load_pruned(empty_dir, None)
     assert corpus.is_empty()
     assert type(pruned) is TraceCorpus and pruned == TraceCorpus({})
+
+
+# Each column of a tree-stats table: its header and the row key it shows.
+STATS_COLUMNS = {"app": "app", "scenario": "scenario", "nodes": "nodes",
+                 "unique_api": "unique_api_methods", "height": "height",
+                 "min_rep": "min_repetition", "max_rep": "max_repetition",
+                 "avg_rep": "avg_repetition"}
+
+
+def test_a_report_read_back_renders_each_column_under_its_header(tmp_path):
+    """``report.json`` holds its keys sorted, so a table that took its
+    columns from a row's key order would put them under the wrong headers."""
+    corpus_dir = write_corpus_dir(tmp_path, {
+        "demo": {"s0": FIG_TREE_TEXT, "s1": "0\tclient.Main.A\n1\tlib.Core.B\n"
+                                            "2\tlib.Core.F\n2\tlib.Core.F\n"}})
+    classifier = tmp_path / "classifier.txt"
+    classifier.write_text("lib.\n", encoding="utf-8")
+    out = tmp_path / "out"
+    run_pipeline(RunConfig(corpus_dir, out, classifier))
+    loaded = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    text = render_report_text(loaded)
+    assert text == (out / "report.txt").read_text(encoding="utf-8")
+    lines = text.splitlines()
+    for title, key in (("Call trees (as recorded)", "call_tree_stats"),
+                       ("Call trees (pruned)", "pruned_tree_stats")):
+        rows = loaded[key]
+        assert list(rows[0]) == sorted(rows[0]) != list(STATS_COLUMNS.values())
+        header, *table = lines[lines.index(title) + 1:][:len(rows) + 1]
+        spans = [match.span() for match in re.finditer(r"\S+", header)]
+        assert [header[a:b] for a, b in spans] == list(STATS_COLUMNS)
+        starts = [a for a, _ in spans]
+        for row, line in zip(rows, table, strict=True):
+            cells = [line[a:b].strip() for a, b in zip(starts, [*starts[1:], None])]
+            assert cells == [f"{row[k]:g}" if isinstance(row[k], float) else str(row[k])
+                             for k in STATS_COLUMNS.values()]

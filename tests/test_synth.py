@@ -41,6 +41,28 @@ class TestPlantSpecValidation:
         with pytest.raises(ValueError):
             PlantSpec(noise_prob=1.5)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(trees_per_app=0), "component, tree and app counts must be >= 1"),
+        (dict(methods_per_component=(5, 2)), "invalid methods_per_component range (5, 2)"),
+        (dict(tree_depth=(0, 3)), "invalid tree_depth range (0, 3); depth 1 is the "
+                                  "minimum for a planted call"),
+        (dict(inter_call_prob=-0.5), "inter_call_prob must be in [0, 1], got -0.5"),
+    ])
+    def test_messages_name_the_bad_field(self, kwargs, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            PlantSpec(**kwargs)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            PlantSpec(*PlantSpec()._replace(**kwargs))
+
+    def test_repr_and_positional_fields(self):
+        spec = PlantSpec(3, (2, 5), 0.25, seed=9)
+        assert spec == PlantSpec(component_count=3, methods_per_component=(2, 5),
+                                 inter_call_prob=0.25, seed=9)
+        assert repr(spec) == (
+            "PlantSpec(component_count=3, methods_per_component=(2, 5), "
+            "inter_call_prob=0.25, trees_per_app=4, app_count=2, tree_depth=(2, 4), "
+            "noise_prob=0.0, seed=9)")
+
 
 class TestGenerate:
     def test_deterministic_directories(self, tmp_path):

@@ -123,3 +123,20 @@ def test_edge_count_reads_the_events(tmp_path, request, source, connector):
     built = request.getfixturevalue("built")
     assert tree.edge_count() == expected
     assert built == []
+
+
+def test_comparing_trees_builds_no_call_node(request):
+    """``==`` compares ids and events, so two trees holding events compare
+    without building nodes, and a tree holding nodes still equals one holding
+    the same events."""
+    text = "0\tlib.A.a\n1\tlib.B.b\n"
+    tree, again = (parse_trace_file(text, "app", "s") for _ in range(2))
+    other = parse_trace_file(text + "1\tlib.C.c\n", "app", "s")
+    renamed = parse_trace_file(text, "app", "t")
+    built = request.getfixturevalue("built")
+    assert tree == again and tree != other and tree != renamed
+    assert built == [] and tree._root is None and again._root is None
+    node_form = CallTree("app", "s", trace_model._build(tree.events))
+    assert node_form == tree
+    node_form.root.children[0].origin = Origin.API
+    assert node_form != tree
