@@ -11,9 +11,13 @@ artifacts:
   run        full pipeline: corpus -> component report
   evaluate   score a report's components against relatedness labels
 
-``prune``, ``metrics``, ``graph`` and ``run`` read a corpus through
-``pipeline.load_pruned``. Every stage runs serially; ``--jobs`` is accepted
-and validated for compatibility but has no effect.
+``prune``, ``metrics`` and ``graph`` load a corpus through ``_load``, the
+one place that turns an empty corpus into exit code 3; ``run`` loads it
+inside ``pipeline.run_pipeline``, which writes an empty report first. Both
+read it with ``pipeline.load_pruned``. The options several commands share
+are declared once, as ``argparse`` parent parsers whose defaults and choices
+are those of the records that validate them. Every stage runs serially;
+``--jobs`` is accepted and validated for compatibility but has no effect.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 trace parse
 error, 3 empty corpus.
@@ -27,11 +31,11 @@ import json
 import sys
 from pathlib import Path
 
-from .clusterer import ClusterConfig, cluster, render_clusters
+from .clusterer import RC_COMPARISONS, ClusterConfig, cluster, render_clusters
 from .components import RelatednessLabels
 from .graph_builder import (GraphConfig, build_graph, read_edge_list,
                             write_dot, write_edge_list)
-from .metrics import CorpusMetrics, MetricConfig, QualityWeights
+from .metrics import WEIGHT_FORMULAS, CorpusMetrics, MetricConfig, QualityWeights
 from .pipeline import RunConfig, load_pruned, run_pipeline
 from .report import build_evaluation, render_evaluation_text, write_evaluation
 from .trace_model import (TraceParseError, content_lines, method_at, read_utf8,
@@ -53,24 +57,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _add_corpus_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--corpus", required=True, help="corpus directory")
-    p.add_argument("--classifier", default=None,
-                   help="API prefix file; omitted means every method is API")
-
-
-def _add_metric_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--lambda-freq", type=float, default=1.0,
-                   help="weight of call frequency in quality (default 1.0)")
-    p.add_argument("--lambda-dist", type=float, default=1.0,
-                   help="weight of call distance in quality (default 1.0)")
-    p.add_argument("--lambda-weight", type=float, default=1.0,
-                   help="weight of call weight in quality (default 1.0)")
-    p.add_argument("--weight-formula", choices=["example", "literal"],
-                   default="example",
-                   help="pair weight aggregation (default example)")
-
-
 def _positive_int(text: str) -> int:
     try:
         value = int(text)
@@ -81,20 +67,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
-_STAGE_OPTIONS = {
-    "--jobs": dict(type=_positive_int, default=1,
-                   help="accepted for compatibility (an integer >= 1); has no "
-                        "effect, because every stage runs serially"),
-    "--edge-threshold": dict(type=float, default=0.0,
-                             help="minimum quality for an edge (default 0.0)"),
-    "--rc-comparison": dict(choices=["prose", "caption"], default="prose",
-                            help="relative compactness comparison (default prose)"),
-}
-
-
-def _add_stage_args(p: argparse.ArgumentParser, *flags: str) -> None:
-    for flag in flags:
-        p.add_argument(flag, **_STAGE_OPTIONS[flag])
+def _parent(*options: tuple[str, dict]) -> argparse.ArgumentParser:
+    """An option group for ``parents=``: a parser holding each ``(flag,
+    add_argument keywords)`` of ``options``, in order."""
+    parent = argparse.ArgumentParser(add_help=False)
+    for flag, kwargs in options:
+        parent.add_argument(flag, **kwargs)
+    return parent
 
 
 def _weights_from(args) -> QualityWeights:
@@ -103,6 +82,24 @@ def _weights_from(args) -> QualityWeights:
 
 def _metric_config_from(args) -> MetricConfig:
     return MetricConfig(weight_formula=args.weight_formula)
+
+
+def _load(args, nothing: str):
+    """The corpus and pruned corpus ``args`` name; an empty corpus ends the
+    command with exit code 3, saying there is ``nothing``."""
+    corpus, pruned = load_pruned(args.corpus, args.classifier)
+    if corpus.is_empty():
+        print(f"empty corpus: {nothing}", file=sys.stderr)
+        raise SystemExit(EXIT_EMPTY)
+    return corpus, pruned
+
+
+def _emit(text: str, out: str | None) -> None:
+    """Write ``text`` to the file ``out``, or to stdout when there is none."""
+    if out:
+        Path(out).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
 
 
 def cmd_generate(args) -> int:
@@ -125,10 +122,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_prune(args) -> int:
-    corpus, pruned = load_pruned(args.corpus, args.classifier)
-    if corpus.is_empty():
-        print("empty corpus: nothing to prune", file=sys.stderr)
-        return EXIT_EMPTY
+    corpus, pruned = _load(args, "nothing to prune")
     write_corpus(pruned, args.out)
     before = sum(t.node_count() for t in corpus.all_trees())
     after = sum(t.node_count() for t in pruned.all_trees())
@@ -140,10 +134,7 @@ def cmd_prune(args) -> int:
 def cmd_metrics(args) -> int:
     import csv  # only this command writes CSV
 
-    corpus, pruned = load_pruned(args.corpus, args.classifier)
-    if corpus.is_empty():
-        print("empty corpus: no metrics to compute", file=sys.stderr)
-        return EXIT_EMPTY
+    _, pruned = _load(args, "no metrics to compute")
     engine = CorpusMetrics(pruned, _metric_config_from(args))
     weights = _weights_from(args)
 
@@ -159,18 +150,12 @@ def cmd_metrics(args) -> int:
         means = engine.set_means(methods)
         writer.writerow([",".join(m.qualified for m in methods),
                          *(f"{x:.12g}" for x in (*means, weights.blend(*means)))])
-    if args.out:
-        Path(args.out).write_text(buffer.getvalue(), encoding="utf-8")
-    else:
-        sys.stdout.write(buffer.getvalue())
+    _emit(buffer.getvalue(), args.out)
     return EXIT_OK
 
 
 def cmd_graph(args) -> int:
-    corpus, pruned = load_pruned(args.corpus, args.classifier)
-    if corpus.is_empty():
-        print("empty corpus: no graph to build", file=sys.stderr)
-        return EXIT_EMPTY
+    _, pruned = _load(args, "no graph to build")
     config = GraphConfig(weights=_weights_from(args),
                          edge_threshold=args.edge_threshold,
                          metrics=_metric_config_from(args))
@@ -187,12 +172,9 @@ def cmd_graph(args) -> int:
 def cmd_cluster(args) -> int:
     graph = read_edge_list(args.graph)
     clusters = cluster(graph, ClusterConfig(rc_comparison=args.rc_comparison))
-    text = render_clusters(clusters)
+    _emit(render_clusters(clusters), args.out)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
         print(f"{len(clusters)} clusters -> {args.out}")
-    else:
-        sys.stdout.write(text)
     return EXIT_OK
 
 
@@ -257,37 +239,59 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="corpus output directory")
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("prune", help="strip application frames from a corpus")
-    _add_corpus_args(p)
-    _add_stage_args(p, "--jobs")
+    # The option groups several commands share. Each default and choice list
+    # is the one of the record that validates the option.
+    weights = QualityWeights()
+    corpus = _parent(
+        ("--corpus", dict(required=True, help="corpus directory")),
+        ("--classifier",
+         dict(help="API prefix file; omitted means every method is API")))
+    lambdas = [(f"--{field.replace('_', '-')}",
+                dict(type=float, default=getattr(weights, field),
+                     help=f"weight of call {what} in quality (default %(default)s)"))
+               for field, what in zip(weights._fields, ("frequency", "distance", "weight"))]
+    metric = _parent(
+        *lambdas,
+        ("--weight-formula",
+         dict(choices=WEIGHT_FORMULAS, default=MetricConfig().weight_formula,
+              help="pair weight aggregation (default %(default)s)")))
+    jobs = _parent(("--jobs", dict(
+        type=_positive_int, default=1,
+        help="accepted for compatibility (an integer >= 1); has no effect, "
+             "because every stage runs serially")))
+    threshold = _parent(("--edge-threshold", dict(
+        type=float, default=GraphConfig().edge_threshold,
+        help="minimum quality for an edge (default %(default)s)")))
+    rc = _parent(("--rc-comparison", dict(
+        choices=RC_COMPARISONS, default=ClusterConfig().rc_comparison,
+        help="relative compactness comparison (default %(default)s)")))
+
+    p = sub.add_parser("prune", help="strip application frames from a corpus",
+                       parents=[corpus, jobs])
     p.add_argument("--out", required=True, help="pruned corpus directory")
     p.set_defaults(func=cmd_prune)
 
-    p = sub.add_parser("metrics", help="score method sets over a corpus")
-    _add_corpus_args(p)
-    _add_metric_args(p)
+    p = sub.add_parser("metrics", help="score method sets over a corpus",
+                       parents=[corpus, metric])
     p.add_argument("--sets", required=True,
                    help="text file, one comma-separated method set per line")
     p.add_argument("--out", default=None, help="CSV output (default stdout)")
     p.set_defaults(func=cmd_metrics)
 
-    p = sub.add_parser("graph", help="build the weighted method graph")
-    _add_corpus_args(p)
-    _add_metric_args(p)
-    _add_stage_args(p, "--jobs", "--edge-threshold")
+    p = sub.add_parser("graph", help="build the weighted method graph",
+                       parents=[corpus, metric, jobs, threshold])
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_graph)
 
-    p = sub.add_parser("cluster", help="cluster an edge-list graph")
-    p.add_argument("--graph", required=True, help="edge list file (graph.tsv)")
-    _add_stage_args(p, "--rc-comparison")
+    # --graph is a group of its own only so that it stays listed first.
+    graph = _parent(("--graph", dict(required=True, help="edge list file (graph.tsv)")))
+    p = sub.add_parser("cluster", help="cluster an edge-list graph",
+                       parents=[graph, rc])
     p.add_argument("--out", default=None, help="clusters file (default stdout)")
     p.set_defaults(func=cmd_cluster)
 
-    p = sub.add_parser("run", help="run the full pipeline")
-    _add_corpus_args(p)
-    _add_metric_args(p)
-    _add_stage_args(p, "--jobs", "--edge-threshold", "--rc-comparison")
+    p = sub.add_parser("run", help="run the full pipeline",
+                       parents=[corpus, metric, jobs, threshold, rc])
     p.add_argument("--out", required=True, help="report output directory")
     p.set_defaults(func=cmd_run)
 
@@ -302,13 +306,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # a usage error, --help or an empty corpus
+        return int(exc.code or 0)
     except TraceParseError as exc:
         print(f"apicomp: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -174,13 +174,17 @@ def render_report_text(report: dict) -> str:
     return "\n".join(lines)
 
 
-def write_report(report: dict, out_dir: str | Path) -> None:
+def _write_pair(out_dir: str | Path, stem: str, doc: dict, text: str) -> None:
+    """Write ``doc`` as ``<stem>.json`` and ``text`` as ``<stem>.txt``."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "report.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    (out_dir / "report.txt").write_text(render_report_text(report),
-                                        encoding="utf-8")
+    (out_dir / f"{stem}.json").write_text(
+        json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    (out_dir / f"{stem}.txt").write_text(text, encoding="utf-8")
+
+
+def write_report(report: dict, out_dir: str | Path) -> None:
+    _write_pair(out_dir, "report", report, render_report_text(report))
 
 
 def _check_report(report) -> None:
@@ -244,9 +248,4 @@ def render_evaluation_text(evaluation: dict) -> str:
 
 
 def write_evaluation(evaluation: dict, out_dir: str | Path) -> None:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "evaluation.json").write_text(
-        json.dumps(evaluation, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    (out_dir / "evaluation.txt").write_text(render_evaluation_text(evaluation),
-                                            encoding="utf-8")
+    _write_pair(out_dir, "evaluation", evaluation, render_evaluation_text(evaluation))

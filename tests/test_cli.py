@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -10,9 +11,11 @@ import pytest
 
 from conftest import API_CLASSIFIER, FIG_TREE_TEXT, write_corpus_dir
 
-from apicomp.cli import main
+from apicomp.cli import build_parser, main
+from apicomp.clusterer import RC_COMPARISONS, ClusterConfig
 from apicomp.components import RelatednessLabels
-from apicomp.graph_builder import read_edge_list
+from apicomp.graph_builder import GraphConfig, read_edge_list
+from apicomp.metrics import WEIGHT_FORMULAS, MetricConfig, QualityWeights
 from apicomp.synth import load_ground_truth
 from apicomp.trace_model import load_corpus
 
@@ -163,6 +166,68 @@ class TestExitCodes:
     def test_missing_corpus_is_config_error(self, tmp_path):
         assert run_cli("run", "--corpus", str(tmp_path / "nope"),
                        "--out", str(tmp_path / "out")) == 1
+
+    def test_jobs_that_is_not_a_number_is_usage_error(self, fig_corpus, tmp_path,
+                                                      capsys):
+        corpus, _ = fig_corpus
+        assert run_cli("run", "--corpus", str(corpus), "--jobs", "x",
+                       "--out", str(tmp_path / "out")) == 1
+        assert capsys.readouterr().err.endswith(
+            "apicomp run: error: argument --jobs: must be an integer >= 1, got 'x'\n")
+
+    @pytest.mark.parametrize("text, line_no, message", [
+        ("0\tlib.A.a\tAPI\tx\n", 1, "unexpected trailing fields"),
+        ("0\tlib.A.a\n1\t<connector>\n", 2,
+         "connector marker is only valid as the root event"),
+        ("0\tnodot\n", 1, "not a qualified method name: 'nodot'"),
+    ], ids=["trailing-fields", "inner-connector", "bare-name"])
+    def test_trace_error_names_file_line_and_cause(self, tmp_path, capsys, text,
+                                                   line_no, message):
+        corpus = write_corpus_dir(tmp_path, {"a": {"bad": text}})
+        assert run_cli("run", "--corpus", str(corpus),
+                       "--out", str(tmp_path / "out")) == 2
+        path = corpus / "a" / "bad.trace"
+        assert capsys.readouterr().err == (
+            f"apicomp: parse error: {path}:{line_no}: {message}\n")
+
+    def test_help_exits_zero(self, capsys):
+        assert run_cli("cluster", "--help") == 0
+        assert capsys.readouterr().out.startswith("usage: apicomp cluster [-h] --graph")
+
+
+def _subcommands() -> dict[str, argparse.ArgumentParser]:
+    action, = [a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_shared_option_defaults_and_choices_are_the_records():
+    """Each shared option's default and choices come from the record that
+    validates it, in every subcommand that takes the option."""
+    weights = QualityWeights()
+    expected = {
+        "lambda_freq": (weights.lambda_freq, None),
+        "lambda_dist": (weights.lambda_dist, None),
+        "lambda_weight": (weights.lambda_weight, None),
+        "weight_formula": (MetricConfig().weight_formula, WEIGHT_FORMULAS),
+        "edge_threshold": (GraphConfig().edge_threshold, None),
+        "rc_comparison": (ClusterConfig().rc_comparison, RC_COMPARISONS),
+    }
+    takers: dict[str, list[str]] = {}
+    for command, sub in _subcommands().items():
+        for action in sub._actions:
+            if action.dest in expected:
+                default, choices = expected[action.dest]
+                assert action.default == default and action.choices == choices, \
+                    (command, action.dest)
+                assert type(action.default) is type(default), (command, action.dest)
+                takers.setdefault(action.dest, []).append(command)
+    metric_commands = ["metrics", "graph", "run"]
+    assert takers == {
+        "lambda_freq": metric_commands, "lambda_dist": metric_commands,
+        "lambda_weight": metric_commands, "weight_formula": metric_commands,
+        "edge_threshold": ["graph", "run"], "rc_comparison": ["cluster", "run"],
+    }
 
 
 def _load_trace(path):
@@ -344,6 +409,25 @@ class TestMetricsCommand:
                        "--sets", str(sets_file)) == 1
 
 
+@pytest.mark.parametrize("command", ["metrics", "cluster"])
+def test_stdout_carries_the_bytes_out_writes(worked_corpus_dir, tmp_path, capsys,
+                                             command):
+    corpus = str(worked_corpus_dir)
+    assert run_cli("graph", "--corpus", corpus, "--out", str(tmp_path / "graph")) == 0
+    sets_file = tmp_path / "sets.txt"
+    sets_file.write_text("lib.Ops.D,lib.Ops.E\nlib.Ops.A,lib.Ops.B\n",
+                         encoding="utf-8")
+    argv = {"metrics": ["metrics", "--corpus", corpus, "--sets", str(sets_file)],
+            "cluster": ["cluster", "--graph", str(tmp_path / "graph" / "graph.tsv")]
+            }[command]
+    out = tmp_path / "out.txt"
+    assert run_cli(*argv, "--out", str(out)) == 0
+    capsys.readouterr()
+    assert run_cli(*argv) == 0
+    printed = capsys.readouterr().out
+    assert printed and printed.encode("utf-8") == out.read_bytes()
+
+
 class TestEvaluate:
     def test_mean_precision(self, worked_corpus_dir, tmp_path, capsys):
         out = tmp_path / "out"
@@ -443,6 +527,49 @@ class TestEvaluate:
         assert evaluation["mean_precision"] == 1.0
 
 
+class TestNoComponents:
+    def test_run_without_api_methods_reports_none(self, worked_corpus_dir, tmp_path,
+                                                  capsys):
+        classifier = tmp_path / "classifier.txt"
+        classifier.write_text("", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run_cli("run", "--corpus", str(worked_corpus_dir),
+                       "--classifier", str(classifier), "--out", str(out)) == 0
+        assert capsys.readouterr().out.endswith(": 0 methods, 0 components -> "
+                                                f"{out}\n")
+        text = (out / "report.txt").read_text(encoding="utf-8")
+        assert "\nComponents (0)\n  (none)\n" in text
+        assert "\nComponent stats\n  (no components identified)\n  components: 0\n" in text
+
+    def test_evaluate_without_components_scores_zero(self, tmp_path, capsys):
+        report_file = tmp_path / "report.json"
+        report_file.write_text(json.dumps({"schema": "apicomp-report/2",
+                                           "components": []}), encoding="utf-8")
+        labels_file = tmp_path / "labels.txt"
+        labels_file.write_text("lib.Ops.A\tlib.Ops.B\n", encoding="utf-8")
+        assert run_cli("evaluate", "--report", str(report_file),
+                       "--labels", str(labels_file)) == 0
+        printed = capsys.readouterr().out
+        assert printed == ("COMPONENT EVALUATION\n====================\n\n"
+                           "(no components to evaluate)\n\nmean precision: 0.000000\n")
+        assert (tmp_path / "evaluation.txt").read_text(encoding="utf-8") == printed
+        evaluation = json.loads((tmp_path / "evaluation.json").read_text())
+        assert evaluation == {"schema": "apicomp-evaluation/1", "components": [],
+                              "mean_precision": 0.0}
+
+    def test_evaluate_report_without_components_list_is_usage_error(self, tmp_path,
+                                                                     capsys):
+        report_file = tmp_path / "report.json"
+        report_file.write_text(json.dumps({"schema": "apicomp-report/2"}),
+                               encoding="utf-8")
+        labels_file = tmp_path / "labels.txt"
+        labels_file.write_text("# none\n", encoding="utf-8")
+        assert run_cli("evaluate", "--report", str(report_file),
+                       "--labels", str(labels_file)) == 1
+        assert capsys.readouterr().err == (
+            f"apicomp: error: {report_file}: report has no 'components' list\n")
+
+
 class TestGenerateCommand:
     def test_infeasible_spec_is_config_error(self, tmp_path):
         assert run_cli("generate", "--tree-depth", "0", "3",
@@ -476,6 +603,21 @@ class TestEmptyCorpusAcrossCommands:
     def test_graph(self, empty_corpus, tmp_path):
         assert run_cli("graph", "--corpus", str(empty_corpus),
                        "--out", str(tmp_path / "out")) == 3
+
+    @pytest.mark.parametrize("command, message", [
+        ("prune", "nothing to prune"),
+        ("metrics", "no metrics to compute"),
+        ("graph", "no graph to build"),
+        ("run", "wrote empty report -> {out}"),
+    ])
+    def test_stderr_says_what_is_left_undone(self, empty_corpus, tmp_path, capsys,
+                                             command, message):
+        out = tmp_path / "out"
+        sets_file = tmp_path / "sets.txt"
+        sets_file.write_text("a.B.c,d.E.f\n", encoding="utf-8")
+        extra = ["--sets", str(sets_file)] if command == "metrics" else ["--out", str(out)]
+        assert run_cli(command, "--corpus", str(empty_corpus), *extra) == 3
+        assert capsys.readouterr() == ("", f"empty corpus: {message.format(out=out)}\n")
 
 
 class TestConfigSwitchesReachThePipeline:

@@ -29,6 +29,13 @@ class TestSplitMix64:
         assert all(3 <= rng.randint(3, 5) <= 5 for _ in range(100))
         assert all(0.0 <= rng.random() < 1.0 for _ in range(100))
 
+    def test_empty_ranges_are_rejected(self):
+        rng = SplitMix64(0)
+        with pytest.raises(ValueError, match=r"^below\(\) needs n >= 1$"):
+            rng.below(0)
+        with pytest.raises(ValueError, match=r"^empty range \[5, 4\]$"):
+            rng.randint(5, 4)
+
 
 class TestPlantSpecValidation:
     def test_rejects_bad_ranges(self):

@@ -15,9 +15,9 @@ from conftest import API_CLASSIFIER, FIG_TREE_TEXT, build_tree, m, write_corpus_
 from apicomp import trace_model
 from apicomp.pruner import prune
 from apicomp.trace_model import (ApiClassifier, CallNode, CallTree, MethodRef,
-                                 Origin, TraceParseError, TraceStats, classify,
-                                 load_corpus, parse_trace_file, serialize_tree,
-                                 tree_stats, write_corpus)
+                                 Origin, TraceCorpus, TraceParseError, TraceStats,
+                                 classify, load_corpus, parse_trace_file,
+                                 serialize_tree, tree_stats, write_corpus)
 
 
 class TestMethodRef:
@@ -464,6 +464,11 @@ class TestCorpusIO:
     def test_missing_directory(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_corpus(tmp_path / "nope")
+
+    def test_tree_filed_under_another_app_is_rejected(self):
+        tree = parse_trace_file("0\tlib.A.a\n", "b", "s0")
+        with pytest.raises(ValueError, match="^tree app_id 'b' filed under 'a'$"):
+            TraceCorpus({"a": [tree]})
 
     def test_empty_directory(self, tmp_path):
         empty = tmp_path / "corpus"
