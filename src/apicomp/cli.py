@@ -16,7 +16,9 @@ one place that turns an empty corpus into exit code 3; ``run`` loads it
 inside ``pipeline.run_pipeline``, which writes an empty report first. Both
 read it with ``pipeline.load_pruned``. The options several commands share
 are declared once, as ``argparse`` parent parsers whose defaults and choices
-are those of the records that validate them. Every stage runs serially;
+are those of the records that validate them, and ``generate``'s options
+are the fields of ``PlantSpec``, which gives every omitted one its default.
+Every stage runs serially;
 ``--jobs`` is accepted and validated for compatibility but has no effect.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 trace parse
@@ -38,7 +40,7 @@ from .graph_builder import (GraphConfig, build_graph, read_edge_list,
 from .metrics import WEIGHT_FORMULAS, CorpusMetrics, MetricConfig, QualityWeights
 from .pipeline import RunConfig, load_pruned, run_pipeline
 from .report import build_evaluation, render_evaluation_text, write_evaluation
-from .trace_model import (TraceParseError, content_lines, method_at, read_utf8,
+from .trace_model import (TraceParseError, parse_method, read_lines, read_utf8,
                           write_corpus)
 
 EXIT_OK = 0
@@ -94,6 +96,14 @@ def _load(args, nothing: str):
     return corpus, pruned
 
 
+def _method_set(raw: str) -> list:
+    """The methods of one comma-separated method-set line, in line order."""
+    methods = [parse_method(part) for part in raw.split(",") if part.strip()]
+    if len(set(methods)) < 2:
+        raise ValueError("a method set needs >= 2 distinct methods")
+    return methods
+
+
 def _emit(text: str, out: str | None) -> None:
     """Write ``text`` to the file ``out``, or to stdout when there is none."""
     if out:
@@ -105,16 +115,10 @@ def _emit(text: str, out: str | None) -> None:
 def cmd_generate(args) -> int:
     from .synth import PlantSpec, write_generated  # only this command generates
 
-    spec = PlantSpec(
-        component_count=args.components,
-        methods_per_component=tuple(args.methods_per_component),
-        inter_call_prob=args.inter_call_prob,
-        trees_per_app=args.trees_per_app,
-        app_count=args.apps,
-        tree_depth=tuple(args.tree_depth),
-        noise_prob=args.noise_prob,
-        seed=args.seed,
-    )
+    # ``args`` holds only the options given (see ``build_parser``); a
+    # two-value option arrives as a list.
+    spec = PlantSpec(**{name: tuple(value) if isinstance(value, list) else value
+                        for name, value in vars(args).items() if name in PlantSpec._fields})
     corpus, truth = write_generated(spec, args.out)
     print(f"generated {corpus.tree_count()} trees for {len(corpus.trees)} apps, "
           f"{len(truth)} planted components -> {args.out}")
@@ -141,12 +145,7 @@ def cmd_metrics(args) -> int:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["set", "call_freq", "call_dist", "call_weight", "quality"])
-    for line_no, raw in content_lines(args.sets):
-        methods = [method_at(args.sets, line_no, part)
-                   for part in raw.split(",") if part.strip()]
-        if len(set(methods)) < 2:
-            raise ValueError(f"{args.sets}:{line_no}: a method set needs >= 2 "
-                             "distinct methods")
+    for methods in read_lines(args.sets, _method_set):
         means = engine.set_means(methods)
         writer.writerow([",".join(m.qualified for m in methods),
                          *(f"{x:.12g}" for x in (*means, weights.blend(*means)))])
@@ -225,17 +224,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 
-    p = sub.add_parser("generate", help="write a synthetic planted corpus")
-    p.add_argument("--components", type=int, default=2)
-    p.add_argument("--methods-per-component", type=int, nargs=2, default=[4, 6],
-                   metavar=("MIN", "MAX"))
-    p.add_argument("--inter-call-prob", type=float, default=0.0)
-    p.add_argument("--trees-per-app", type=int, default=4)
-    p.add_argument("--apps", type=int, default=2)
-    p.add_argument("--tree-depth", type=int, nargs=2, default=[2, 4],
-                   metavar=("MIN", "MAX"))
-    p.add_argument("--noise-prob", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
+    # Each option's dest is a ``PlantSpec`` field, and an omitted option is
+    # left out of the namespace, so ``PlantSpec`` supplies its default.
+    p = sub.add_parser("generate", help="write a synthetic planted corpus",
+                       argument_default=argparse.SUPPRESS)
+    p.add_argument("--components", dest="component_count", type=int,
+                   metavar="COMPONENTS")
+    p.add_argument("--methods-per-component", type=int, nargs=2, metavar=("MIN", "MAX"))
+    p.add_argument("--inter-call-prob", type=float)
+    p.add_argument("--trees-per-app", type=int)
+    p.add_argument("--apps", dest="app_count", type=int, metavar="APPS")
+    p.add_argument("--tree-depth", type=int, nargs=2, metavar=("MIN", "MAX"))
+    p.add_argument("--noise-prob", type=float)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True, help="corpus output directory")
     p.set_defaults(func=cmd_generate)
 

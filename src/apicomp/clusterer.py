@@ -196,7 +196,8 @@ def refine_clusters(graph: ApiGraph, state: CoverState,
     Satellite sets start as the cover-phase snapshots; absorbing a star
     only ever mutates the star currently being emitted. A dissolved center
     stays a member of the absorbing cluster, so the cover is preserved
-    while the cluster count can only shrink.
+    while the cluster count can only shrink. ``config`` changes nothing;
+    it is accepted so that a caller can pass both phases the same one.
     """
     satellites = {c: set(graph.neighbors(c)) for c in state.centers}
     order = sorted(state.centers, key=lambda v: (-graph.degree(v), v))
@@ -214,7 +215,9 @@ def refine_clusters(graph: ApiGraph, state: CoverState,
 
     # Only an alive center u inside the star of another alive center v is
     # tested, so u is counted for both stars (containing[u] >= 2), and an
-    # empty ``own`` gives 0 > 0, False, with no guard.
+    # empty ``own`` gives 0 > 0, False, with no guard. No center is ever
+    # its own satellite: edges have no self-loops, and ``absorbed``
+    # subtracts {v}.
     def is_useless(u: MethodRef) -> bool:
         own = satellites[u]
         shared = sum(1 for s in own if containing[s] >= 2)
@@ -224,7 +227,7 @@ def refine_clusters(graph: ApiGraph, state: CoverState,
         if v not in alive:
             continue
         for u in sorted(satellites[v]):
-            if u not in alive or u in visited or u == v:
+            if u not in alive or u in visited:
                 continue
             if is_useless(u):
                 containing.subtract(satellites[u])
@@ -242,8 +245,7 @@ def refine_clusters(graph: ApiGraph, state: CoverState,
 
 def cluster(graph: ApiGraph, config: ClusterConfig | None = None) -> list[Cluster]:
     """Run both phases; an empty graph yields no clusters."""
-    config = config or ClusterConfig()
-    return refine_clusters(graph, initial_clusters(graph, config), config)
+    return refine_clusters(graph, initial_clusters(graph, config))
 
 
 def render_clusters(clusters: list[Cluster]) -> str:

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Iterable, NamedTuple
 
 from .clusterer import Cluster
-from .trace_model import MethodRef, TraceCorpus, _parents, content_lines, method_at
+from .trace_model import MethodRef, TraceCorpus, _parents, parse_method, read_lines
 
 
 class CallWitness(NamedTuple):
@@ -31,7 +31,8 @@ class Component(namedtuple("Component", "center provided_interface implementatio
                                         "required_interface required_witnesses")):
     """A cluster as a component; ``required_witnesses`` maps each required
     method to its first witnessing call edge, for auditability, and is a
-    fresh dict when omitted."""
+    fresh dict when omitted. Its keys must be ``required_interface``, so a
+    component with required methods is built with their witnesses."""
 
     __slots__ = ()
 
@@ -40,9 +41,12 @@ class Component(namedtuple("Component", "center provided_interface implementatio
                 required_interface: frozenset[MethodRef],
                 required_witnesses: dict[MethodRef, CallWitness] | None = None
                 ) -> "Component":
+        witnesses = {} if required_witnesses is None else required_witnesses
+        if witnesses.keys() != required_interface:
+            raise ValueError("required_witnesses must hold one witness per "
+                             "required_interface method, and no other")
         return tuple.__new__(cls, (center, provided_interface, implementation_classes,
-                                   required_interface,
-                                   {} if required_witnesses is None else required_witnesses))
+                                   required_interface, witnesses))
 
 
 class ComponentStats(NamedTuple):
@@ -70,14 +74,13 @@ class RelatednessLabels(NamedTuple):
     @classmethod
     def load(cls, path: str | Path) -> "RelatednessLabels":
         """Read one related pair per line: ``a.b<TAB>c.d``; ``#`` comments."""
-        pairs = []
-        for line_no, raw in content_lines(path):
+        def pair(raw: str) -> tuple[MethodRef, MethodRef]:
             parts = raw.split("\t")
             if len(parts) != 2:
-                raise ValueError(f"{path}:{line_no}: expected two tab-separated methods")
-            pairs.append((method_at(path, line_no, parts[0]),
-                          method_at(path, line_no, parts[1])))
-        return cls.from_pairs(pairs)
+                raise ValueError("expected two tab-separated methods")
+            return parse_method(parts[0]), parse_method(parts[1])
+
+        return cls.from_pairs(read_lines(path, pair))
 
 
 def _call_edges(

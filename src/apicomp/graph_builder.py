@@ -12,7 +12,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
 from .metrics import CorpusMetrics, MetricConfig, QualityWeights
-from .trace_model import MethodRef, TraceCorpus, content_lines, method_at
+from .trace_model import MethodRef, TraceCorpus, content_lines, parse_method
 
 
 class GraphConfig(namedtuple("GraphConfig", "weights edge_threshold metrics")):
@@ -196,29 +196,27 @@ def read_edge_list(path: str | Path) -> ApiGraph:
     first_line: dict[tuple[MethodRef, MethodRef], int] = {}
     for line_no, raw in content_lines(path):
         parts = raw.split("\t")
-        if len(parts) == 1:
-            vertices.add(method_at(path, line_no, parts[0]))
-            continue
-        if len(parts) != 3:
-            raise ValueError(f"{path}:{line_no}: expected 'u<TAB>v<TAB>weight'")
-        u = method_at(path, line_no, parts[0])
-        v = method_at(path, line_no, parts[1])
         try:
-            w = float(parts[2])
-        except ValueError:
-            raise ValueError(f"{path}:{line_no}: weight {parts[2]!r} is not a number"
-                             ) from None
-        try:
+            if len(parts) == 1:
+                vertices.add(parse_method(parts[0]))
+                continue
+            if len(parts) != 3:
+                raise ValueError("expected 'u<TAB>v<TAB>weight'")
+            u, v = parse_method(parts[0]), parse_method(parts[1])
+            try:
+                w = float(parts[2])
+            except ValueError:
+                raise ValueError(f"weight {parts[2]!r} is not a number") from None
             _check_edge(u, v, w)
+            vertices.update((u, v))
+            key = (u, v) if u < v else (v, u)
+            if key not in edges:
+                edges[key], first_line[key] = w, line_no
+            elif edges[key] != w:
+                raise ValueError(f"weight {w!r} for {u} -- {v} conflicts with "
+                                 f"{edges[key]!r} on line {first_line[key]}")
         except ValueError as exc:
             raise ValueError(f"{path}:{line_no}: {exc}") from None
-        vertices.update((u, v))
-        key = (u, v) if u < v else (v, u)
-        if key not in edges:
-            edges[key], first_line[key] = w, line_no
-        elif edges[key] != w:
-            raise ValueError(f"{path}:{line_no}: weight {w!r} for {u} -- {v} "
-                             f"conflicts with {edges[key]!r} on line {first_line[key]}")
     return ApiGraph(vertices, edges)
 
 

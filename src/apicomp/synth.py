@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .rng import SplitMix64
 from .trace_model import (ApiClassifier, CallNode, CallTree, MethodRef, TraceCorpus,
-                          classify, content_lines, method_at, write_corpus)
+                          classify, parse_method, read_lines, write_corpus)
 
 API_PREFIXES = ("plant", "noise")
 
@@ -146,5 +146,4 @@ def write_generated(spec: PlantSpec, out_dir: str | Path) -> tuple[TraceCorpus, 
 def load_ground_truth(path: str | Path) -> list[frozenset[MethodRef]]:
     """One method set per content line, comma-separated, each name stripped;
     a name that is not qualified raises ``ValueError`` naming ``path:line``."""
-    return [frozenset(method_at(path, line_no, part) for part in raw.split(","))
-            for line_no, raw in content_lines(path)]
+    return read_lines(path, lambda raw: frozenset(map(parse_method, raw.split(","))))

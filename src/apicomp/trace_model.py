@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 from collections import namedtuple
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 # Root marker used when serializing trees whose original root was removed
 # by pruning. Recognized by the parser only at depth 0; it cannot collide
@@ -299,7 +299,7 @@ class ApiClassifier(NamedTuple):
 
     @classmethod
     def load(cls, path: str | Path) -> "ApiClassifier":
-        return cls(tuple(raw.strip() for _, raw in content_lines(path)))
+        return cls(tuple(read_lines(path, str.strip)))
 
 
 class _Verdicts(dict):
@@ -329,20 +329,32 @@ def read_utf8(path: str | Path) -> str:
 def content_lines(path: str | Path) -> Iterator[tuple[int, str]]:
     """The numbered lines of a UTF-8 text file that are neither blank nor
     ``#`` comments, as ``(line_no, raw)`` with ``raw`` unstripped; a file
-    that is not UTF-8 raises ``ValueError`` naming it."""
+    that is not UTF-8 raises ``ValueError`` naming it. The content-line rule
+    of every input file; ``_parse`` applies it to traces inline."""
     for line_no, raw in enumerate(read_utf8(path).splitlines(), start=1):
         line = raw.strip()
         if line and not line.startswith("#"):
             yield line_no, raw
 
 
-def method_at(path: str | Path, line_no: int, name: str) -> MethodRef:
-    """``MethodRef.from_qualified`` of a name a reader found, stripped: one
-    that is not qualified raises ``ValueError`` naming ``path:line``."""
-    try:
-        return MethodRef.from_qualified(name.strip())
-    except ValueError as exc:
-        raise ValueError(f"{path}:{line_no}: {exc}") from None
+def read_lines(path: str | Path, parse: Callable[[str], object]) -> list:
+    """``parse(raw)`` of each content line of ``path`` (see
+    ``content_lines``), in file order. A ``ValueError`` from ``parse`` is
+    raised again as ``<path>:<line>: <message>``; one from reading the file
+    names the file alone."""
+    parsed = []
+    for line_no, raw in content_lines(path):
+        try:
+            parsed.append(parse(raw))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{line_no}: {exc}") from None
+    return parsed
+
+
+def parse_method(name: str) -> MethodRef:
+    """``MethodRef.from_qualified`` of ``name`` stripped, as a line reader
+    finds it between its separators."""
+    return MethodRef.from_qualified(name.strip())
 
 
 class TraceStats(NamedTuple):

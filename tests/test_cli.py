@@ -16,7 +16,7 @@ from apicomp.clusterer import RC_COMPARISONS, ClusterConfig
 from apicomp.components import RelatednessLabels
 from apicomp.graph_builder import GraphConfig, read_edge_list
 from apicomp.metrics import WEIGHT_FORMULAS, MetricConfig, QualityWeights
-from apicomp.synth import load_ground_truth
+from apicomp.synth import PlantSpec, load_ground_truth, write_generated
 from apicomp.trace_model import load_corpus
 
 
@@ -124,6 +124,25 @@ class TestExitCodes:
         capsys.readouterr()
         assert run_cli(*argv) == 1
         assert "latin1.txt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag", [
+        ("run", "--classifier"), ("metrics", "--sets"), ("cluster", "--graph"),
+        ("evaluate", "--labels")])
+    def test_non_utf8_input_file_error_starts_with_its_path(self, worked_corpus_dir,
+                                                            tmp_path, capsys, command, flag):
+        """README: a non-UTF-8 classifier, method-set, edge-list or label
+        file is exit 1, and the message names the file."""
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps({"components": []}), encoding="utf-8")
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes(b"lib.Ops.caf\xe9\n")
+        argv = {"run": ["--corpus", str(worked_corpus_dir), "--out", str(tmp_path / "out")],
+                "metrics": ["--corpus", str(worked_corpus_dir)],
+                "cluster": [],
+                "evaluate": ["--report", str(report)]}[command]
+        assert run_cli(command, *argv, flag, str(bad)) == 1
+        assert capsys.readouterr().err.startswith(
+            f"apicomp: error: {bad}: not UTF-8 text (")
 
     def test_distance_pair_cap_flag_is_gone(self, fig_corpus, tmp_path, capsys):
         corpus, _ = fig_corpus
@@ -574,6 +593,25 @@ class TestGenerateCommand:
     def test_infeasible_spec_is_config_error(self, tmp_path):
         assert run_cli("generate", "--tree-depth", "0", "3",
                        "--out", str(tmp_path / "c")) == 1
+
+    def test_options_are_the_plant_spec_fields_without_defaults(self):
+        """Every option but ``--out`` names a ``PlantSpec`` field and has
+        no default of its own, so an omitted one takes the record's."""
+        options = [a for a in _subcommands()["generate"]._actions
+                   if a.option_strings and a.dest not in ("help", "out")]
+        assert sorted(a.dest for a in options) == sorted(PlantSpec._fields)
+        assert all(a.default is argparse.SUPPRESS for a in options)
+
+    def test_no_options_write_the_default_spec(self, tmp_path, capsys):
+        assert run_cli("generate", "--out", str(tmp_path / "cli")) == 0
+        write_generated(PlantSpec(), tmp_path / "record")
+        files = {root: sorted(p.relative_to(tmp_path / root) for p in
+                              (tmp_path / root).rglob("*") if p.is_file())
+                 for root in ("cli", "record")}
+        assert files["cli"] == files["record"] and files["cli"]
+        for name in files["cli"]:
+            assert (tmp_path / "cli" / name).read_bytes() == \
+                (tmp_path / "record" / name).read_bytes()
 
     def test_seed_reproducibility(self, tmp_path):
         for name in ("one", "two"):

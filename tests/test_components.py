@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from itertools import combinations
 
@@ -65,6 +67,22 @@ class TestAssemble:
         clusters = [cluster_of("lib.X.G"), cluster_of("lib.X.B")]
         comps = assemble(clusters, chain_corpus)
         assert [c.center for c in comps] == [m("lib.X.G"), m("lib.X.B")]
+
+
+def test_a_component_has_one_witness_per_required_method():
+    """A required method without a witness, or a witness of no required
+    method, is rejected when the component is built, not as a ``KeyError``
+    when a report is built from it."""
+    a, b = m("x.C.a"), m("x.C.b")
+    witness = {b: CallWitness("app", "s0", a)}
+    for required, witnesses in ((frozenset([b]), None), (frozenset([b]), {}),
+                                (frozenset(), witness)):
+        with pytest.raises(ValueError, match="^required_witnesses must hold one witness"):
+            Component(a, frozenset([a]), frozenset(["x.C"]), required, witnesses)
+    component = Component(a, frozenset([a]), frozenset(["x.C"]), frozenset([b]), witness)
+    for clone in (pickle.loads(pickle.dumps(component)), copy.copy(component),
+                  copy.deepcopy(component)):
+        assert clone == component and type(clone) is Component
 
 
 @given(st.integers(0, 10_000))

@@ -499,6 +499,23 @@ class TestCorpusIO:
         assert str(err.value) == (f"{bad}: not UTF-8 text (invalid continuation byte "
                                   f"at byte {len(prefix) + 11})")
 
+    def test_read_lines_locates_a_parse_error_and_not_a_read_error(self, tmp_path):
+        path = tmp_path / "lines.txt"
+        path.write_text("# c\n a \n\nb\n", encoding="utf-8")
+        assert trace_model.read_lines(path, str.strip) == ["a", "b"]
+
+        def parse(raw):
+            if raw == "b":
+                raise ValueError("no b")
+            return raw
+
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:4: no b$"):
+            trace_model.read_lines(path, parse)
+        path.write_bytes(b"caf\xe9\n")
+        with pytest.raises(ValueError, match=(f"^{re.escape(str(path))}: not UTF-8 text "
+                                              r"\(invalid continuation byte at byte 3\)$")):
+            trace_model.read_lines(path, parse)
+
     def test_classifier_file_loading(self, tmp_path):
         path = tmp_path / "classifier.txt"
         path.write_text("# api packages\nlib.\n\norg.api.\n", encoding="utf-8")
