@@ -3,7 +3,9 @@
 A component's provided interface is a cluster's method set; its
 implementation classes are the owners of those methods; its required
 interface is every outside method directly invoked by a provided method
-somewhere in the pruned corpus. Precision of a component is the share of
+somewhere in the pruned corpus, each with one witness: its first call from
+any provided method, in corpus order, by caller in pre-order within a tree,
+then in child order. Precision of a component is the share of
 provided methods related (per externally supplied labels) to at least one
 other provided method.
 """
@@ -11,7 +13,6 @@ other provided method.
 from __future__ import annotations
 
 from collections import namedtuple
-from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
@@ -30,8 +31,8 @@ class CallWitness(NamedTuple):
 class Component(namedtuple("Component", "center provided_interface implementation_classes "
                                         "required_interface required_witnesses")):
     """A cluster as a component; ``required_witnesses`` maps each required
-    method to its first witnessing call edge, for auditability, and is a
-    fresh dict when omitted. Its keys must be ``required_interface``, so a
+    method to the first call of it from a provided method, for
+    auditability, and is a fresh dict when omitted. Its keys must be ``required_interface``, so a
     component with required methods is built with their witnesses."""
 
     __slots__ = ()
@@ -83,12 +84,11 @@ class RelatednessLabels(NamedTuple):
         return cls.from_pairs(read_lines(path, pair))
 
 
-def _call_edges(
-        corpus: TraceCorpus) -> dict[MethodRef, list[tuple[int, MethodRef, CallWitness]]]:
-    """Directed parent-child method edges by caller, each as (position in
-    corpus order, callee, first witness). Connector edges are not calls."""
-    seen: set[tuple[MethodRef, MethodRef]] = set()
-    by_caller: dict[MethodRef, list[tuple[int, MethodRef, CallWitness]]] = {}
+def _first_calls(corpus: TraceCorpus) -> dict[tuple[MethodRef, MethodRef], CallWitness]:
+    """Each directed parent-child method edge, ``(caller, callee)``, and its
+    first witness, in the order first seen: trees in corpus order, each by
+    caller in pre-order, then child order. Connector edges are not calls."""
+    first: dict[tuple[MethodRef, MethodRef], CallWitness] = {}
     for app_id, trees in corpus.trees.items():
         for tree in trees:
             events = tree.events
@@ -96,34 +96,30 @@ def _call_edges(
             # then in child order; the root's (-1, 0) comes first and goes.
             for parent, child in sorted(zip(_parents(events), range(len(events))))[1:]:
                 caller, callee = events[parent][1], events[child][1]
-                if caller is not None and (caller, callee) not in seen:
-                    by_caller.setdefault(caller, []).append(
-                        (len(seen), callee, CallWitness(app_id, tree.scenario_id, caller)))
-                    seen.add((caller, callee))
-    return by_caller
+                if caller is not None and (caller, callee) not in first:
+                    first[caller, callee] = CallWitness(app_id, tree.scenario_id, caller)
+    return first
 
 
 def assemble(clusters: list[Cluster], corpus: TraceCorpus) -> list[Component]:
-    """Build one component per cluster, preserving cluster order."""
-    by_caller = _call_edges(corpus)
-    components = []
-    for c in clusters:
-        provided = frozenset(c.members)
-        # The members' out-edges in corpus order, so the first witness wins.
-        out_edges = sorted((edge for m in provided for edge in by_caller.get(m, ())),
-                           key=itemgetter(0))
-        witnesses: dict[MethodRef, CallWitness] = {}
-        for _, callee, witness in out_edges:
-            if callee not in provided:
-                witnesses.setdefault(callee, witness)
-        components.append(Component(
-            center=c.center,
-            provided_interface=provided,
-            implementation_classes=frozenset(m.class_name for m in provided),
-            required_interface=frozenset(witnesses),
-            required_witnesses=dict(sorted(witnesses.items())),
-        ))
-    return components
+    """Build one component per cluster, preserving cluster order. A required
+    method's witness is its first call from any provided method, in the
+    order of ``_first_calls``."""
+    provided = [frozenset(c.members) for c in clusters]
+    providers: dict[MethodRef, list[int]] = {}
+    for i, members in enumerate(provided):
+        for method in members:
+            providers.setdefault(method, []).append(i)
+    witnesses: list[dict[MethodRef, CallWitness]] = [{} for _ in clusters]
+    for (caller, callee), witness in _first_calls(corpus).items():
+        for i in providers.get(caller, ()):
+            if callee not in provided[i]:
+                witnesses[i].setdefault(callee, witness)
+    return [Component(center=c.center, provided_interface=members,
+                      implementation_classes=frozenset(m.class_name for m in members),
+                      required_interface=frozenset(found),
+                      required_witnesses=dict(sorted(found.items())))
+            for c, members, found in zip(clusters, provided, witnesses)]
 
 
 def component_stats(components: list[Component]) -> ComponentStats:

@@ -11,6 +11,7 @@ produce identical bytes.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 from .components import Component, RelatednessLabels, component_stats, precision
@@ -44,8 +45,7 @@ def _component_entries(components: list[Component]) -> list[dict]:
     entries = []
     for idx, comp in enumerate(components):
         required = []
-        for method in sorted(comp.required_interface):
-            witness = comp.required_witnesses[method]
+        for method, witness in sorted(comp.required_witnesses.items()):
             required.append({
                 "method": method.qualified,
                 "provided_by": provider_ids.get(method, []),
@@ -175,12 +175,21 @@ def render_report_text(report: dict) -> str:
 
 
 def _write_pair(out_dir: str | Path, stem: str, doc: dict, text: str) -> None:
-    """Write ``doc`` as ``<stem>.json`` and ``text`` as ``<stem>.txt``."""
+    """Write ``doc`` as ``<stem>.json`` and ``text`` as ``<stem>.txt``. Both
+    are written as ``<name>.tmp`` in ``out_dir`` first and only then renamed
+    into place, so a write that fails leaves the previous pair as it was."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / f"{stem}.json").write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    (out_dir / f"{stem}.txt").write_text(text, encoding="utf-8")
+    contents = {f"{stem}.json": json.dumps(doc, indent=2, sort_keys=True) + "\n",
+                f"{stem}.txt": text}
+    try:
+        for name, content in contents.items():
+            (out_dir / f"{name}.tmp").write_text(content, encoding="utf-8")
+        for name in contents:
+            os.replace(out_dir / f"{name}.tmp", out_dir / name)
+    finally:
+        for name in contents:
+            (out_dir / f"{name}.tmp").unlink(missing_ok=True)
 
 
 def write_report(report: dict, out_dir: str | Path) -> None:

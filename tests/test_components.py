@@ -85,6 +85,16 @@ def test_a_component_has_one_witness_per_required_method():
         assert clone == component and type(clone) is Component
 
 
+def test_witness_is_the_first_call_by_caller_in_pre_order():
+    """``lib.X.x`` is called by ``lib.M.two`` first in a pre-order walk of
+    the children, but ``lib.M.one`` is the earlier caller in pre-order, so
+    its call is the witness."""
+    corpus = build_corpus({"a": [("lib.R.root", [
+        ("lib.M.one", [("lib.M.two", ["lib.X.x"]), "lib.X.x"])])]})
+    comp, = assemble([cluster_of("lib.M.one", "lib.M.two")], corpus)
+    assert comp.required_witnesses == {m("lib.X.x"): CallWitness("a", "s0", m("lib.M.one"))}
+
+
 @given(st.integers(0, 10_000))
 @settings(max_examples=30, deadline=None)
 def test_witness_is_the_first_call_in_corpus_order(seed):

@@ -12,6 +12,10 @@ recorded with CPython 3.11. Every float total is added left to right, by
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -71,6 +75,27 @@ def test_run_report_bytes(tmp_path, monkeypatch):
                  "corpus/classifier.txt", "--out", "out"]) == 0
     digest = hashlib.sha256((tmp_path / "out" / "report.json").read_bytes()).hexdigest()
     assert digest == RUN_DIGEST
+
+
+def test_run_report_bytes_do_not_depend_on_the_hash_seed(tmp_path, monkeypatch):
+    """``apicomp run`` in fresh interpreters under ``PYTHONHASHSEED`` 0 and 1
+    writes ``RUN_DIGEST`` both times, and the same ``report.txt``."""
+    monkeypatch.chdir(tmp_path)
+    assert main([*NOISY, "--out", "corpus"]) == 0
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    texts = []
+    for seed in ("0", "1"):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys\nfrom apicomp.cli import main\n"
+             "sys.exit(main(sys.argv[1:]))", "run", "--corpus", "corpus",
+             "--classifier", "corpus/classifier.txt", "--out", f"out{seed}"],
+            env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        out = tmp_path / f"out{seed}"
+        assert hashlib.sha256((out / "report.json").read_bytes()).hexdigest() == RUN_DIGEST
+        texts.append((out / "report.txt").read_bytes())
+    assert texts[0] == texts[1]
 
 
 def test_prune_bytes(corpus_dir, tmp_path):

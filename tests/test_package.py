@@ -269,3 +269,18 @@ def test_no_record_is_a_dataclass_or_a_hand_written_tuple():
                             for base in node.bases)):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_roadmap_citations_name_open_items():
+    """Every ``ROADMAP item N`` in ``src/`` and README.md names a numbered
+    entry under ROADMAP.md's ``**Items:**``, so no citation points at a
+    retired or missing item. ``perfbench/`` is left out: its README still
+    cites retired item 4, and item 2, the benchmark rebase, rewrites it."""
+    roadmap = (ROOT / "ROADMAP.md").read_text(encoding="utf-8")
+    items = roadmap.split("**Items:**", 1)[1].split("### Standing decisions", 1)[0]
+    open_items = {int(n) for n in re.findall(r"^(\d+)\. \*\*", items, re.MULTILINE)}
+    assert open_items
+    cited = [(path.relative_to(ROOT).as_posix(), int(n))
+             for path in [*sorted((ROOT / "src").rglob("*.py")), ROOT / "README.md"]
+             for n in re.findall(r"ROADMAP\s+item\s+(\d+)", path.read_text(encoding="utf-8"))]
+    assert [(path, n) for path, n in cited if n not in open_items] == []

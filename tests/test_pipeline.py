@@ -1,9 +1,11 @@
 """One stage chain for every corpus: an empty corpus runs every stage of
 ``run_pipeline`` and gives the empty report, and no stage output is None.
-A report read back from ``report.json`` renders as the run rendered it."""
+A report read back from ``report.json`` renders as the run rendered it, and
+a report pair is replaced whole or not at all."""
 
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +13,7 @@ from conftest import FIG_TREE_TEXT, write_corpus_dir
 
 from apicomp import pipeline
 from apicomp.pipeline import RunConfig, load_pruned, run_pipeline
-from apicomp.report import render_report_text
+from apicomp.report import render_report_text, write_evaluation, write_report
 from apicomp.trace_model import TraceCorpus
 
 
@@ -92,3 +94,32 @@ def test_a_report_read_back_renders_each_column_under_its_header(tmp_path):
             cells = [line[a:b].strip() for a, b in zip(starts, [*starts[1:], None])]
             assert cells == [f"{row[k]:g}" if isinstance(row[k], float) else str(row[k])
                              for k in STATS_COLUMNS.values()]
+
+
+_REPORT = _empty_report("corpus")
+_EVALUATION = {"schema": "apicomp-evaluation/1", "components": [], "mean_precision": 0.0}
+
+
+@pytest.mark.parametrize("write, old, new", [
+    (write_report, _REPORT, {**_REPORT, "config": {**_REPORT["config"], "edge_threshold": 0.5}}),
+    (write_evaluation, _EVALUATION, {**_EVALUATION, "mean_precision": 1.0}),
+], ids=["report", "evaluation"])
+def test_a_failed_second_write_leaves_the_previous_pair(tmp_path, monkeypatch, write, old,
+                                                        new):
+    """The second file of a pair fails to write: both files keep their
+    previous bytes, and no temporary file is left in the directory."""
+    write(old, tmp_path)
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    assert len(before) == 2
+    write_text, calls = Path.write_text, []
+
+    def fail_second(self, *args, **kwargs):
+        calls.append(self)
+        if len(calls) == 2:
+            raise OSError("no space left on device")
+        return write_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", fail_second)
+    with pytest.raises(OSError, match="no space left"):
+        write(new, tmp_path)
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
