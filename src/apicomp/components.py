@@ -5,9 +5,11 @@ implementation classes are the owners of those methods; its required
 interface is every outside method directly invoked by a provided method
 somewhere in the pruned corpus, each with one witness: its first call from
 any provided method, in corpus order, by caller in pre-order within a tree,
-then in child order. Precision of a component is the share of
-provided methods related (per externally supplied labels) to at least one
-other provided method.
+then in child order. What a call is, and that order, is
+``trace_model._calls``; which components provide a method is
+``_provider_ids``, shared by ``assemble`` and the report. Precision of a
+component is the share of provided methods related (per externally
+supplied labels) to at least one other provided method.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from pathlib import Path
 from typing import Iterable, NamedTuple
 
 from .clusterer import Cluster
-from .trace_model import MethodRef, TraceCorpus, _parents, parse_method, read_lines
+from .trace_model import MethodRef, TraceCorpus, _calls, parse_method, read_lines
 
 
 class CallWitness(NamedTuple):
@@ -85,20 +87,26 @@ class RelatednessLabels(NamedTuple):
 
 
 def _first_calls(corpus: TraceCorpus) -> dict[tuple[MethodRef, MethodRef], CallWitness]:
-    """Each directed parent-child method edge, ``(caller, callee)``, and its
-    first witness, in the order first seen: trees in corpus order, each by
-    caller in pre-order, then child order. Connector edges are not calls."""
+    """Each distinct call, ``(caller, callee)``, and its first witness, in
+    the order first seen: trees in corpus order, each in the order of
+    ``trace_model._calls``, which decides what a call is."""
     first: dict[tuple[MethodRef, MethodRef], CallWitness] = {}
     for app_id, trees in corpus.trees.items():
         for tree in trees:
-            events = tree.events
-            # Sorted (parent, child) index pairs are by caller in pre-order,
-            # then in child order; the root's (-1, 0) comes first and goes.
-            for parent, child in sorted(zip(_parents(events), range(len(events))))[1:]:
-                caller, callee = events[parent][1], events[child][1]
-                if caller is not None and (caller, callee) not in first:
-                    first[caller, callee] = CallWitness(app_id, tree.scenario_id, caller)
+            for call in _calls(tree.events):
+                if call not in first:
+                    first[call] = CallWitness(app_id, tree.scenario_id, call[0])
     return first
+
+
+def _provider_ids(interfaces: Iterable[Iterable[MethodRef]]) -> dict[MethodRef, list[int]]:
+    """Each method to the ascending positions of the ``interfaces`` that
+    hold it: who provides what, for ``assemble`` and the report alike."""
+    ids: dict[MethodRef, list[int]] = {}
+    for i, interface in enumerate(interfaces):
+        for method in interface:
+            ids.setdefault(method, []).append(i)
+    return ids
 
 
 def assemble(clusters: list[Cluster], corpus: TraceCorpus) -> list[Component]:
@@ -106,10 +114,7 @@ def assemble(clusters: list[Cluster], corpus: TraceCorpus) -> list[Component]:
     method's witness is its first call from any provided method, in the
     order of ``_first_calls``."""
     provided = [frozenset(c.members) for c in clusters]
-    providers: dict[MethodRef, list[int]] = {}
-    for i, members in enumerate(provided):
-        for method in members:
-            providers.setdefault(method, []).append(i)
+    providers = _provider_ids(provided)
     witnesses: list[dict[MethodRef, CallWitness]] = [{} for _ in clusters]
     for (caller, callee), witness in _first_calls(corpus).items():
         for i in providers.get(caller, ()):

@@ -5,7 +5,8 @@ A run produces a machine-readable ``report.json`` and a human-readable
 in the README; evaluation against relatedness labels adds a separate
 ``evaluation.json``/``evaluation.txt`` pair (schema ``apicomp-evaluation/1``).
 Reports carry no timestamps: identical inputs and configuration must
-produce identical bytes.
+produce identical bytes. The report formats what the stages found; which
+components provide a required method is ``components._provider_ids``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import json
 import os
 from pathlib import Path
 
-from .components import Component, RelatednessLabels, component_stats, precision
+from .components import Component, RelatednessLabels, _provider_ids, component_stats, precision
 from .graph_builder import ApiGraph
 from .trace_model import MethodRef, TraceCorpus, TraceStats, tree_stats
 
@@ -37,11 +38,9 @@ def _stats_rows(corpus: TraceCorpus) -> list[dict]:
 
 
 def _component_entries(components: list[Component]) -> list[dict]:
-    provider_ids: dict[object, list[int]] = {}
-    for idx, comp in enumerate(components):
-        for method in comp.provided_interface:
-            provider_ids.setdefault(method, []).append(idx)
-
+    """The report's entry for each component, in order; a required method's
+    ``provided_by`` is its ``_provider_ids`` list, or [] when none provides it."""
+    provider_ids = _provider_ids(comp.provided_interface for comp in components)
     entries = []
     for idx, comp in enumerate(components):
         required = []

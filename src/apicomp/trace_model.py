@@ -156,13 +156,27 @@ def _parents(events) -> list[int]:
     before it one level up, or -1 for the root; the one reading of the tree
     structure that the events hold."""
     parents: list[int] = []
-    chain = [-1]  # chain[d + 1]: the index of the last event at depth d
+    # chain[d + 1]: the index of the last event at depth d. Entries below
+    # the current event's child level are stale; as a depth rises one level
+    # at a time, each is overwritten before it is read again.
+    chain = [-1] * (len(events) + 1)
     for index, event in enumerate(events):
         depth = event[0]
         parents.append(chain[depth])
-        del chain[depth + 1:]
-        chain.append(index)
+        chain[depth + 1] = index
     return parents
+
+
+def _calls(events) -> list[tuple[MethodRef, MethodRef]]:
+    """The ``(caller, callee)`` methods of each call in a tree's pre-order
+    events, by caller in pre-order, then in child order; the one call rule.
+    A call is a parent-child edge whose parent is a method: a connector
+    root's edges are not calls, and a call to self is one."""
+    # Sorted (parent, child) index pairs are in that order; the root's
+    # (-1, 0) comes first and goes.
+    return [(events[parent][1], events[child][1])
+            for parent, child in sorted(zip(_parents(events), range(len(events))))[1:]
+            if events[parent][1] is not None]
 
 
 def _build(events: list) -> CallNode:
@@ -238,9 +252,9 @@ class CallTree(Record):
         return sum(1 for event in self.events if event[1] is not None)
 
     def edge_count(self) -> int:
-        """Method-to-method invocation edges; connector edges do not count."""
-        events = self.events
-        return sum(1 for parent in _parents(events)[1:] if events[parent][1] is not None)
+        """Method-to-method invocation edges, the calls of ``_calls``;
+        connector edges do not count."""
+        return len(_calls(self.events))
 
     def depth(self) -> int:
         """Edges on the longest root-to-leaf path (connector root included)."""

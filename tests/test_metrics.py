@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -25,7 +26,7 @@ from apicomp.metrics import (CorpusMetrics, MetricConfig, PairAffinity,
                              pair_distance, pair_weight, quality, weight)
 from apicomp.pruner import prune
 from apicomp.trace_model import (ApiClassifier, CallNode, CallTree, Origin,
-                                 PrunedTree, TraceCorpus)
+                                 PrunedTree, TraceCorpus, _calls)
 
 A, B, C, D, E, L = (m(f"lib.Ops.{x}") for x in "ABCDEL")
 TOL = 1e-12
@@ -588,6 +589,47 @@ def test_lanes_without_a_native_read_give_the_same_totals(tree):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(metrics, "_LANE_FORMATS", {})
         assert kernel_totals(tree) == expected
+
+
+# -- the call rule: _index counts the calls of trace_model._calls -----------
+
+def assert_index_counts_the_calls(tree: CallTree) -> None:
+    """``_index``'s edge total is the number of calls ``_calls`` gives, as
+    is ``edge_count``, and its direct pairs count the calls between two
+    distinct methods, keyed as ``_index`` keys them."""
+    events = tree.events
+    ids = {name: i for i, name in enumerate(sorted({e[1] for e in events} - {None}))}
+    n = len(ids)
+    *_, direct_pairs, edge_total = _index(tree, ids)
+    calls = _calls(events)
+    assert edge_total == len(calls) == tree.edge_count()
+    ends = (sorted((ids[caller], ids[callee])) for caller, callee in calls if caller != callee)
+    assert direct_pairs == Counter(c * n + v for c, v in ends)
+
+
+_A, _B = _POOL[:2]
+
+
+@pytest.mark.parametrize("tree, calls", [
+    # The connector root's two edges are not calls.
+    (_tree([None, _A, _B, _A], [0, 1, 0]), [(_A, _B)]),
+    # A call to self is a call, and no direct pair.
+    (_tree([_A, _A, _B], [0, 1]), [(_A, _A), (_A, _B)]),
+    # A repeated method: by caller in pre-order, then child order.
+    (_tree([_A, _B, _A, _B, _B], [0, 1, 0, 3]), [(_A, _B), (_A, _B), (_B, _A), (_B, _B)]),
+    # A 5,000-deep chain over seven methods.
+    (_tree([m(f"lib.K.m{i % 7}") for i in range(5000)], range(4999)),
+     [(m(f"lib.K.m{i % 7}"), m(f"lib.K.m{(i + 1) % 7}")) for i in range(4999)]),
+], ids=["connector-root", "call-to-self", "repeated-method", "chain-5000"])
+def test_index_counts_the_calls_of_the_call_rule(tree, calls):
+    assert _calls(tree.events) == calls
+    assert_index_counts_the_calls(tree)
+
+
+@given(tree=kernel_trees())
+@settings(max_examples=100, deadline=None)
+def test_index_counts_the_calls_of_the_call_rule_on_random_trees(tree):
+    assert_index_counts_the_calls(tree)
 
 
 class TestLeftSum:

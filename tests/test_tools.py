@@ -1,12 +1,24 @@
-"""The code-line counter in ``tools/code_lines.py``."""
+"""The code-line counter in ``tools/code_lines.py`` and the report
+comparison in ``tools/ab.py``."""
 
 import importlib.util
+import shutil
 from pathlib import Path
 
-_PATH = Path(__file__).resolve().parent.parent / "tools" / "code_lines.py"
-_spec = importlib.util.spec_from_file_location("code_lines", _PATH)
-code_lines = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(code_lines)
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+code_lines = _load("code_lines")
+ab = _load("ab")
 
 # Code lines: 5, 8 and 10-14; a string that opens no body is code.
 FIXTURE = '''"""Module docstring
@@ -33,3 +45,61 @@ def test_counts_lines_spanned_by_code_tokens(tmp_path, capsys):
     assert code_lines.code_lines(FIXTURE.encode()) == 7
     assert code_lines.main([str(module.parent)]) == 0
     assert capsys.readouterr().out == f"     7  {module}\n     7  total\n"
+
+
+# deep-1 at --edge-threshold 0.2 is the grid case whose report moves when an
+# app's distance sum is divided by its trees that hold the pair.
+_TINY_GRID = ["--corpora", "deep-1", "--flags", "threshold-0.2", "--hash-seeds", "0"]
+_FOLD = "row[1] += app_dist / size"
+
+
+def test_ab_finds_a_copy_identical_and_locates_a_mutated_fold(tmp_path, capsys):
+    """The working tree against a copy of its ``src/``: every case is
+    identical. Against the copy with one change to ``CorpusMetrics``' fold:
+    the case is reported with its first differing JSON path, and the tool
+    exits 1."""
+    base = tmp_path / "base"
+    shutil.copytree(ROOT / "src", base / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    work = ["--work", str(tmp_path / "work")]
+    assert ab.main([str(base), *_TINY_GRID, *work]) == 0
+    assert capsys.readouterr().out == f"ab: 1 of 1 cases identical, base {base}\n"
+
+    metrics = base / "src" / "apicomp" / "metrics.py"
+    source = metrics.read_text(encoding="utf-8")
+    assert source.count(_FOLD) == 1
+    metrics.write_text(source.replace(_FOLD, "row[1] += app_dist / count"),
+                       encoding="utf-8")
+    assert ab.main([str(base), *_TINY_GRID, *work]) == 1
+    diff, summary = capsys.readouterr().out.splitlines()
+    assert diff.startswith("DIFF deep-1 threshold-0.2 PYTHONHASHSEED=0: report.json "
+                           "$.component_stats.avg_component_classes: base ")
+    assert summary == f"ab: 0 of 1 cases identical, base {base}"
+
+
+@pytest.mark.parametrize("a, b, path", [
+    ({"k": [1, {"x": 1}]}, {"k": [1, {"x": 1}]}, None),
+    ({"k": [1, {"x": 1}]}, {"k": [1, {"x": 2}]}, "$.k[1].x"),
+    ({"a": 1, "b": 2}, {"b": 3}, "$.a"),
+    ({"k": [1, 2]}, {"k": [1, 2, 3]}, "$.k[2]"),
+    ({"k": 1}, {"k": 1.0}, "$.k"),
+])
+def test_first_json_difference_is_the_first_in_sorted_key_order(a, b, path):
+    for x, y in ((a, b), (b, a)):
+        found = ab.first_json_difference(x, y)
+        assert (found and found[0]) == path
+
+
+def test_a_text_difference_names_its_first_line():
+    base = (0, "", b"{}", b"same\nold line\nrest\n")
+    work = (0, "", b"{}", b"same\nnew line\nrest\n")
+    assert ab.describe(base, work) == "report.txt line 2: base 'old line' | work 'new line'"
+    assert ab.describe(base, base) is None
+
+
+@pytest.mark.skipif(not (ROOT / ".git").exists(), reason="needs a git checkout")
+def test_a_revision_is_extracted_offline(tmp_path):
+    src = ab.base_src("HEAD", tmp_path)
+    assert src == tmp_path / "base" / "src" and (src / "apicomp" / "cli.py").is_file()
+    with pytest.raises(SystemExit, match="neither a directory holding src/ nor a git revision"):
+        ab.base_src("no-such-revision", tmp_path)
