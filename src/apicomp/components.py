@@ -93,7 +93,7 @@ def _first_calls(corpus: TraceCorpus) -> dict[tuple[MethodRef, MethodRef], CallW
     first: dict[tuple[MethodRef, MethodRef], CallWitness] = {}
     for app_id, trees in corpus.trees.items():
         for tree in trees:
-            for call in _calls(tree.events):
+            for call in _calls(tree):
                 if call not in first:
                     first[call] = CallWitness(app_id, tree.scenario_id, call[0])
     return first

@@ -167,13 +167,14 @@ def _parents(events) -> list[int]:
     return parents
 
 
-def _calls(events) -> list[tuple[MethodRef, MethodRef]]:
-    """The ``(caller, callee)`` methods of each call in a tree's pre-order
-    events, by caller in pre-order, then in child order; the one call rule.
-    A call is a parent-child edge whose parent is a method: a connector
-    root's edges are not calls, and a call to self is one."""
+def _calls(tree: CallTree) -> list[tuple[MethodRef, MethodRef]]:
+    """The ``(caller, callee)`` methods of each call in ``tree``, by caller
+    in pre-order, then in child order; the one call rule. A call is a
+    parent-child edge whose parent is a method: a connector root's edges
+    are not calls, and a call to self is one."""
     # Sorted (parent, child) index pairs are in that order; the root's
     # (-1, 0) comes first and goes.
+    events = tree.events
     return [(events[parent][1], events[child][1])
             for parent, child in sorted(zip(_parents(events), range(len(events))))[1:]
             if events[parent][1] is not None]
@@ -244,9 +245,7 @@ class CallTree(Record):
 
     def method_nodes(self) -> Iterator[CallNode]:
         """Pre-order nodes that carry a method (connector excluded)."""
-        for node in self.nodes():
-            if node.method is not None:
-                yield node
+        return (node for node in self.nodes() if node.method is not None)
 
     def node_count(self) -> int:
         return sum(1 for event in self.events if event[1] is not None)
@@ -254,7 +253,7 @@ class CallTree(Record):
     def edge_count(self) -> int:
         """Method-to-method invocation edges, the calls of ``_calls``;
         connector edges do not count."""
-        return len(_calls(self.events))
+        return len(_calls(self))
 
     def depth(self) -> int:
         """Edges on the longest root-to-leaf path (connector root included)."""

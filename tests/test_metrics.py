@@ -601,7 +601,7 @@ def assert_index_counts_the_calls(tree: CallTree) -> None:
     ids = {name: i for i, name in enumerate(sorted({e[1] for e in events} - {None}))}
     n = len(ids)
     *_, direct_pairs, edge_total = _index(tree, ids)
-    calls = _calls(events)
+    calls = _calls(tree)
     assert edge_total == len(calls) == tree.edge_count()
     ends = (sorted((ids[caller], ids[callee])) for caller, callee in calls if caller != callee)
     assert direct_pairs == Counter(c * n + v for c, v in ends)
@@ -622,7 +622,7 @@ _A, _B = _POOL[:2]
      [(m(f"lib.K.m{i % 7}"), m(f"lib.K.m{(i + 1) % 7}")) for i in range(4999)]),
 ], ids=["connector-root", "call-to-self", "repeated-method", "chain-5000"])
 def test_index_counts_the_calls_of_the_call_rule(tree, calls):
-    assert _calls(tree.events) == calls
+    assert _calls(tree) == calls
     assert_index_counts_the_calls(tree)
 
 

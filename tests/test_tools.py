@@ -47,22 +47,24 @@ def test_counts_lines_spanned_by_code_tokens(tmp_path, capsys):
     assert capsys.readouterr().out == f"     7  {module}\n     7  total\n"
 
 
-# deep-1 at --edge-threshold 0.2 is the grid case whose report moves when an
-# app's distance sum is divided by its trees that hold the pair.
-_TINY_GRID = ["--corpora", "deep-1", "--flags", "threshold-0.2", "--hash-seeds", "0"]
 _FOLD = "row[1] += app_dist / size"
 
 
-def test_ab_finds_a_copy_identical_and_locates_a_mutated_fold(tmp_path, capsys):
+def test_ab_finds_a_copy_identical_and_locates_a_mutated_fold(tmp_path, capsys, monkeypatch):
     """The working tree against a copy of its ``src/``: every case is
     identical. Against the copy with one change to ``CorpusMetrics``' fold:
     the case is reported with its first differing JSON path, and the tool
     exits 1."""
+    # deep-1 at --edge-threshold 0.2 is the grid case whose report moves
+    # when an app's distance sum is divided by its trees that hold the pair.
+    monkeypatch.setattr(ab, "CORPORA", ("deep-1",))
+    monkeypatch.setattr(ab, "FLAGS", {"threshold-0.2": ab.FLAGS["threshold-0.2"]})
+    monkeypatch.setattr(ab, "HASH_SEEDS", ("0",))
     base = tmp_path / "base"
     shutil.copytree(ROOT / "src", base / "src",
                     ignore=shutil.ignore_patterns("__pycache__"))
     work = ["--work", str(tmp_path / "work")]
-    assert ab.main([str(base), *_TINY_GRID, *work]) == 0
+    assert ab.main([str(base), *work]) == 0
     assert capsys.readouterr().out == f"ab: 1 of 1 cases identical, base {base}\n"
 
     metrics = base / "src" / "apicomp" / "metrics.py"
@@ -70,7 +72,7 @@ def test_ab_finds_a_copy_identical_and_locates_a_mutated_fold(tmp_path, capsys):
     assert source.count(_FOLD) == 1
     metrics.write_text(source.replace(_FOLD, "row[1] += app_dist / count"),
                        encoding="utf-8")
-    assert ab.main([str(base), *_TINY_GRID, *work]) == 1
+    assert ab.main([str(base), *work]) == 1
     diff, summary = capsys.readouterr().out.splitlines()
     assert diff.startswith("DIFF deep-1 threshold-0.2 PYTHONHASHSEED=0: report.json "
                            "$.component_stats.avg_component_classes: base ")

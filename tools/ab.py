@@ -1,7 +1,6 @@
 """Check that a base revision and the working tree write the same reports.
 
-Usage: ``python tools/ab.py BASE [--corpora NAME...] [--flags NAME...]
-[--hash-seeds N...] [--work DIR]``.
+Usage: ``python tools/ab.py BASE [--work DIR]``.
 
 ``BASE`` is a git revision, whose ``src/`` is extracted with ``git archive``
 under the work directory (no network needed), or a directory that holds
@@ -21,11 +20,11 @@ The grid is every combination of:
   caption`` and ``--edge-threshold 0.2``;
 * ``PYTHONHASHSEED`` 0 and 1.
 
-The options pick a part of the grid. The corpora are written with the
-working tree's generator. For each differing case, one line names the case
-and the first differing JSON path, or text line; the last line counts the
-identical cases. Exits 1 if any case differs, else 0. The work directory
-(default ``.bench_work/ab``) is rewritten on every run.
+The corpora are written with the working tree's generator. For each
+differing case, one line names the case and the first differing JSON path,
+or text line; the last line counts the identical cases. Exits 1 if any case
+differs, else 0. The work directory (default ``.bench_work/ab``) is
+rewritten on every run.
 """
 
 from __future__ import annotations
@@ -68,7 +67,7 @@ def base_src(base: str, work: Path) -> Path:
     return target / "src"
 
 
-def build_corpora(names: list[str], work: Path) -> None:
+def build_corpora(names: tuple[str, ...], work: Path) -> None:
     """Write each named corpus to ``work / name``."""
     for path in (ROOT / "src", ROOT / "perfbench"):
         if str(path) not in sys.path:
@@ -153,10 +152,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base", metavar="BASE",
                         help="git revision, or directory holding src/")
-    parser.add_argument("--corpora", nargs="+", choices=CORPORA, default=list(CORPORA))
-    parser.add_argument("--flags", nargs="+", choices=list(FLAGS), default=list(FLAGS))
-    parser.add_argument("--hash-seeds", nargs="+", choices=HASH_SEEDS,
-                        default=list(HASH_SEEDS))
     parser.add_argument("--work", type=Path, default=ROOT / ".bench_work" / "ab",
                         help="scratch directory, rewritten (default: %(default)s)")
     args = parser.parse_args(argv)
@@ -164,9 +159,9 @@ def main(argv: list[str] | None = None) -> int:
     shutil.rmtree(work, ignore_errors=True)
     work.mkdir(parents=True)
     sides = base_src(args.base, work), ROOT / "src"
-    build_corpora(args.corpora, work)
-    cases = [(corpus, flags, seed) for corpus in args.corpora
-             for flags in args.flags for seed in args.hash_seeds]
+    build_corpora(CORPORA, work)
+    cases = [(corpus, flags, seed) for corpus in CORPORA
+             for flags in FLAGS for seed in HASH_SEEDS]
     same = 0
     for corpus, flags, seed in cases:
         difference = describe(*(run_case(src, work, corpus, FLAGS[flags], seed)
