@@ -16,8 +16,10 @@ one place that turns an empty corpus into exit code 3; ``run`` loads it
 inside ``pipeline.run_pipeline``, which writes an empty report first. Both
 read it with ``pipeline.load_pruned``. The options several commands share
 are declared once, as ``argparse`` parent parsers whose defaults and choices
-are those of the records that validate them, and ``generate``'s options
-are the fields of ``PlantSpec``, which gives every omitted one its default.
+are those of the records that validate them. Each record a command builds
+from its options, ``generate``'s ``PlantSpec`` included, is built by
+``_record`` from the options named after its fields, so no command names a
+record's fields again.
 Every stage runs serially;
 ``--jobs`` is accepted and validated for compatibility but has no effect.
 
@@ -78,12 +80,12 @@ def _parent(*options: tuple[str, dict]) -> argparse.ArgumentParser:
     return parent
 
 
-def _weights_from(args) -> QualityWeights:
-    return QualityWeights(args.lambda_freq, args.lambda_dist, args.lambda_weight)
-
-
-def _metric_config_from(args) -> MetricConfig:
-    return MetricConfig(weight_formula=args.weight_formula)
+def _record(cls, args):
+    """A ``cls`` record from the options of ``args`` named after its fields;
+    one missing from ``args`` takes the record's default, and a two-value
+    option, which arrives as a list, becomes a tuple."""
+    return cls(**{name: tuple(value) if isinstance(value, list) else value
+                  for name, value in vars(args).items() if name in cls._fields})
 
 
 def _load(args, nothing: str):
@@ -115,11 +117,8 @@ def _emit(text: str, out: str | None) -> None:
 def cmd_generate(args) -> int:
     from .synth import PlantSpec, write_generated  # only this command generates
 
-    # ``args`` holds only the options given (see ``build_parser``); a
-    # two-value option arrives as a list.
-    spec = PlantSpec(**{name: tuple(value) if isinstance(value, list) else value
-                        for name, value in vars(args).items() if name in PlantSpec._fields})
-    corpus, truth = write_generated(spec, args.out)
+    # ``args`` holds only the options given (see ``build_parser``).
+    corpus, truth = write_generated(_record(PlantSpec, args), args.out)
     print(f"generated {corpus.tree_count()} trees for {len(corpus.trees)} apps, "
           f"{len(truth)} planted components -> {args.out}")
     return EXIT_OK
@@ -139,8 +138,8 @@ def cmd_metrics(args) -> int:
     import csv  # only this command writes CSV
 
     _, pruned = _load(args, "no metrics to compute")
-    engine = CorpusMetrics(pruned, _metric_config_from(args))
-    weights = _weights_from(args)
+    engine = CorpusMetrics(pruned, _record(MetricConfig, args))
+    weights = _record(QualityWeights, args)
 
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
@@ -155,9 +154,9 @@ def cmd_metrics(args) -> int:
 
 def cmd_graph(args) -> int:
     _, pruned = _load(args, "no graph to build")
-    config = GraphConfig(weights=_weights_from(args),
+    config = GraphConfig(weights=_record(QualityWeights, args),
                          edge_threshold=args.edge_threshold,
-                         metrics=_metric_config_from(args))
+                         metrics=_record(MetricConfig, args))
     graph = build_graph(pruned, config)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -170,7 +169,7 @@ def cmd_graph(args) -> int:
 
 def cmd_cluster(args) -> int:
     graph = read_edge_list(args.graph)
-    clusters = cluster(graph, ClusterConfig(rc_comparison=args.rc_comparison))
+    clusters = cluster(graph, _record(ClusterConfig, args))
     _emit(render_clusters(clusters), args.out)
     if args.out:
         print(f"{len(clusters)} clusters -> {args.out}")
@@ -182,10 +181,10 @@ def cmd_run(args) -> int:
         corpus_dir=Path(args.corpus),
         out_dir=Path(args.out),
         classifier_path=Path(args.classifier) if args.classifier else None,
-        weights=_weights_from(args),
+        weights=_record(QualityWeights, args),
         edge_threshold=args.edge_threshold,
-        metric_config=_metric_config_from(args),
-        cluster_config=ClusterConfig(rc_comparison=args.rc_comparison),
+        metric_config=_record(MetricConfig, args),
+        cluster_config=_record(ClusterConfig, args),
     )
     report = run_pipeline(config)
     if report["corpus"]["empty"]:

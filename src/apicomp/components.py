@@ -34,7 +34,8 @@ class Component(namedtuple("Component", "center provided_interface implementatio
                                         "required_interface required_witnesses")):
     """A cluster as a component; ``required_witnesses`` maps each required
     method to the first call of it from a provided method, for
-    auditability, and is a fresh dict when omitted. Its keys must be ``required_interface``, so a
+    auditability. It is stored as a fresh dict sorted by method, the order
+    the report lists it in. Its keys must be ``required_interface``, so a
     component with required methods is built with their witnesses."""
 
     __slots__ = ()
@@ -44,7 +45,7 @@ class Component(namedtuple("Component", "center provided_interface implementatio
                 required_interface: frozenset[MethodRef],
                 required_witnesses: dict[MethodRef, CallWitness] | None = None
                 ) -> "Component":
-        witnesses = {} if required_witnesses is None else required_witnesses
+        witnesses = dict(sorted((required_witnesses or {}).items()))
         if witnesses.keys() != required_interface:
             raise ValueError("required_witnesses must hold one witness per "
                              "required_interface method, and no other")
@@ -123,7 +124,7 @@ def assemble(clusters: list[Cluster], corpus: TraceCorpus) -> list[Component]:
     return [Component(center=c.center, provided_interface=members,
                       implementation_classes=frozenset(m.class_name for m in members),
                       required_interface=frozenset(found),
-                      required_witnesses=dict(sorted(found.items())))
+                      required_witnesses=found)
             for c, members, found in zip(clusters, provided, witnesses)]
 
 

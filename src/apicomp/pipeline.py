@@ -34,20 +34,16 @@ class RunConfig(NamedTuple):
     jobs: int = 1
 
     def config_echo(self) -> dict:
-        """Analysis configuration recorded in the report: every switch that
-        can change a result. Call distances have none, being always exact.
-        Invocation details (output directory, job count) do not influence
-        results and are deliberately left out to keep reruns byte-identical."""
-        return {
-            "corpus": str(self.corpus_dir),
-            "classifier": str(self.classifier_path) if self.classifier_path else None,
-            "lambda_freq": self.weights.lambda_freq,
-            "lambda_dist": self.weights.lambda_dist,
-            "lambda_weight": self.weights.lambda_weight,
-            "edge_threshold": self.edge_threshold,
-            "weight_formula": self.metric_config.weight_formula,
-            "rc_comparison": self.cluster_config.rc_comparison,
-        }
+        """Analysis configuration recorded in the report: the inputs, the
+        edge threshold and every field of the three analysis records, so a
+        switch added to a record is echoed without naming it here. Call
+        distances have no switch, being always exact. Invocation details
+        (output directory, job count) do not influence results and are
+        deliberately left out to keep reruns byte-identical."""
+        return {"corpus": str(self.corpus_dir),
+                "classifier": str(self.classifier_path) if self.classifier_path else None,
+                "edge_threshold": self.edge_threshold, **self.weights._asdict(),
+                **self.metric_config._asdict(), **self.cluster_config._asdict()}
 
 
 def load_pruned(corpus_dir: str | Path, classifier_path: str | Path | None

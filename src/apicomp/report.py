@@ -44,7 +44,7 @@ def _component_entries(components: list[Component]) -> list[dict]:
     entries = []
     for idx, comp in enumerate(components):
         required = []
-        for method, witness in sorted(comp.required_witnesses.items()):
+        for method, witness in comp.required_witnesses.items():
             required.append({
                 "method": method.qualified,
                 "provided_by": provider_ids.get(method, []),

@@ -298,13 +298,15 @@ class ApiClassifier(NamedTuple):
     """Prefix list deciding which classes belong to the API under study.
 
     A method is API iff its class name starts with any listed prefix
-    (plain text prefix comparison). An empty prefix matches everything.
+    (plain text prefix comparison). An empty prefix matches everything, an
+    empty tuple nothing; the prefixes must be a tuple, as ``str.startswith``
+    takes them.
     """
 
     api_prefixes: tuple[str, ...]
 
     def is_api(self, class_name: str) -> bool:
-        return any(class_name.startswith(p) for p in self.api_prefixes)
+        return class_name.startswith(self.api_prefixes)
 
     @classmethod
     def match_all(cls) -> "ApiClassifier":

@@ -85,6 +85,15 @@ def test_a_component_has_one_witness_per_required_method():
         assert clone == component and type(clone) is Component
 
 
+def test_a_component_stores_its_witnesses_sorted_by_method():
+    """The order the report lists them in, whatever order they come in."""
+    a, b, c = m("x.C.a"), m("x.C.b"), m("x.C.c")
+    given = {c: CallWitness("app", "s1", a), b: CallWitness("app", "s0", a)}
+    component = Component(a, frozenset([a]), frozenset(["x.C"]), frozenset([b, c]), given)
+    assert list(component.required_witnesses) == [b, c]
+    assert component.required_witnesses == given and list(given) == [c, b]
+
+
 def test_witness_is_the_first_call_by_caller_in_pre_order():
     """``lib.X.x`` is called by ``lib.M.two`` first in a pre-order walk of
     the children, but ``lib.M.one`` is the earlier caller in pre-order, so
@@ -114,6 +123,7 @@ def test_witness_is_the_first_call_in_corpus_order(seed):
                             expected.setdefault(child.method, CallWitness(
                                 app_id, tree.scenario_id, node.method))
         assert comp.required_witnesses == expected
+        assert list(comp.required_witnesses) == sorted(expected)
 
 
 class TestComponentStats:

@@ -12,6 +12,8 @@ import pytest
 from conftest import FIG_TREE_TEXT, write_corpus_dir
 
 from apicomp import pipeline
+from apicomp.clusterer import ClusterConfig
+from apicomp.metrics import MetricConfig, QualityWeights
 from apicomp.pipeline import RunConfig, load_pruned, run_pipeline
 from apicomp.report import render_report_text, write_evaluation, write_report
 from apicomp.trace_model import TraceCorpus
@@ -53,6 +55,17 @@ def test_an_empty_corpus_runs_every_stage_once(empty_dir, tmp_path, monkeypatch)
     assert sorted(calls) == ["assemble", "build_graph", "build_report", "cluster"]
     assert report == _empty_report(empty_dir)
     assert json.loads((out / "report.json").read_text(encoding="utf-8")) == report
+
+
+def test_the_config_echo_holds_every_field_of_the_analysis_records():
+    """Every switch that can change a result is echoed with its value, and
+    the invocation details (output directory, job count) are not."""
+    config = RunConfig(Path("c"), Path("o"), Path("k.txt"), QualityWeights(0.25, 0.5, 0.75),
+                       0.2, MetricConfig("literal"), ClusterConfig("caption"), jobs=3)
+    assert config.config_echo() == {
+        "corpus": "c", "classifier": "k.txt", "edge_threshold": 0.2,
+        "lambda_freq": 0.25, "lambda_dist": 0.5, "lambda_weight": 0.75,
+        "weight_formula": "literal", "rc_comparison": "caption"}
 
 
 def test_load_pruned_gives_an_empty_pruned_corpus(empty_dir):

@@ -48,35 +48,47 @@ def test_counts_lines_spanned_by_code_tokens(tmp_path, capsys):
 
 
 _FOLD = "row[1] += app_dist / size"
+_APP_ORDER = "for trees in corpus.trees.values():"
 
 
 def test_ab_finds_a_copy_identical_and_locates_a_mutated_fold(tmp_path, capsys, monkeypatch):
     """The working tree against a copy of its ``src/``: every case is
     identical. Against the copy with one change to ``CorpusMetrics``' fold:
-    the case is reported with its first differing JSON path, and the tool
-    exits 1."""
+    each differing case is reported with its first differing JSON path or
+    text line, and the tool exits 1. Folding the apps in reverse moves only
+    the last bits of some pair weights, which no report holds, so only the
+    ``graph`` case shows it."""
     # deep-1 at --edge-threshold 0.2 is the grid case whose report moves
     # when an app's distance sum is divided by its trees that hold the pair.
     monkeypatch.setattr(ab, "CORPORA", ("deep-1",))
     monkeypatch.setattr(ab, "FLAGS", {"threshold-0.2": ab.FLAGS["threshold-0.2"]})
+    monkeypatch.setattr(ab, "GRAPH_FLAGS", ("threshold-0.2",))
     monkeypatch.setattr(ab, "HASH_SEEDS", ("0",))
     base = tmp_path / "base"
     shutil.copytree(ROOT / "src", base / "src",
                     ignore=shutil.ignore_patterns("__pycache__"))
     work = ["--work", str(tmp_path / "work")]
     assert ab.main([str(base), *work]) == 0
-    assert capsys.readouterr().out == f"ab: 1 of 1 cases identical, base {base}\n"
+    assert capsys.readouterr().out == f"ab: 2 of 2 cases identical, base {base}\n"
 
     metrics = base / "src" / "apicomp" / "metrics.py"
     source = metrics.read_text(encoding="utf-8")
-    assert source.count(_FOLD) == 1
+    assert source.count(_FOLD) == 1 and source.count(_APP_ORDER) == 1
     metrics.write_text(source.replace(_FOLD, "row[1] += app_dist / count"),
                        encoding="utf-8")
     assert ab.main([str(base), *work]) == 1
-    diff, summary = capsys.readouterr().out.splitlines()
-    assert diff.startswith("DIFF deep-1 threshold-0.2 PYTHONHASHSEED=0: report.json "
-                           "$.component_stats.avg_component_classes: base ")
-    assert summary == f"ab: 0 of 1 cases identical, base {base}"
+    report, graph, summary = capsys.readouterr().out.splitlines()
+    assert report.startswith("DIFF run deep-1 threshold-0.2 PYTHONHASHSEED=0: report.json "
+                             "$.component_stats.avg_component_classes: base ")
+    assert graph.startswith("DIFF graph deep-1 threshold-0.2 PYTHONHASHSEED=0: graph.tsv line ")
+    assert summary == f"ab: 0 of 2 cases identical, base {base}"
+
+    metrics.write_text(source.replace(_APP_ORDER, "for trees in reversed(corpus.trees.values()):"),
+                       encoding="utf-8")
+    assert ab.main([str(base), *work]) == 1
+    graph, summary = capsys.readouterr().out.splitlines()
+    assert graph.startswith("DIFF graph deep-1 threshold-0.2 PYTHONHASHSEED=0: graph.tsv line ")
+    assert summary == f"ab: 1 of 2 cases identical, base {base}"
 
 
 @pytest.mark.parametrize("a, b, path", [
@@ -93,8 +105,8 @@ def test_first_json_difference_is_the_first_in_sorted_key_order(a, b, path):
 
 
 def test_a_text_difference_names_its_first_line():
-    base = (0, "", b"{}", b"same\nold line\nrest\n")
-    work = (0, "", b"{}", b"same\nnew line\nrest\n")
+    base = (0, "", {"report.json": b"{}", "report.txt": b"same\nold line\nrest\n"})
+    work = (0, "", {"report.json": b"{}", "report.txt": b"same\nnew line\nrest\n"})
     assert ab.describe(base, work) == "report.txt line 2: base 'old line' | work 'new line'"
     assert ab.describe(base, base) is None
 

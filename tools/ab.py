@@ -1,23 +1,29 @@
-"""Check that a base revision and the working tree write the same reports.
+"""Check that a base revision and the working tree write the same reports
+and graphs.
 
 Usage: ``python tools/ab.py BASE [--work DIR]``.
 
 ``BASE`` is a git revision, whose ``src/`` is extracted with ``git archive``
 under the work directory (no network needed), or a directory that holds
 ``src/``. The other side is the working tree's ``src/``. Both sides run
-``apicomp run`` on every case of a fixed grid, one after the other, from the
-same working directory and the same relative paths, so both reports echo
-the same corpus path. A case is identical when the exit codes,
-``report.json`` and ``report.txt`` are, byte for byte.
+every case of a fixed grid, one after the other, from the same working
+directory and the same relative paths, so both reports echo the same corpus
+path. A case is identical when the exit codes and the files it writes are,
+byte for byte: ``report.json`` and ``report.txt`` for ``apicomp run``,
+``graph.tsv`` and ``graph.dot`` for ``apicomp graph``. Only the graph holds
+the pair weights, written with ``repr``, so only its cases show a float
+that drifts without moving a report.
 
 The grid is every combination of:
 
 * corpora: ``M`` (10 planted components, 20 apps of 20 trees; ROADMAP's
   medium corpus) and the benchmark's ``deep`` and ``sparse-j2`` workloads
-  at seeds 1 and 2, built by ``perfbench/workloads.py`` as the benchmark
-  builds them; each runs with its ``classifier.txt``;
-* flags: the default, ``--weight-formula literal``, ``--rc-comparison
-  caption`` and ``--edge-threshold 0.2``;
+  at seeds 1 and 2, each written to ``<case>/corpus`` by the benchmark's
+  own ``prepare`` in ``perfbench/run.py``; each runs with its
+  ``classifier.txt``;
+* commands and flags: ``run`` with the default, ``--weight-formula
+  literal``, ``--rc-comparison caption`` and ``--edge-threshold 0.2``;
+  ``graph`` with the same less ``--rc-comparison``, which it does not take;
 * ``PYTHONHASHSEED`` 0 and 1.
 
 The corpora are written with the working tree's generator. For each
@@ -30,6 +36,7 @@ rewritten on every run.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import io
 import json
 import os
@@ -47,8 +54,9 @@ CORPORA = ("M", "deep-1", "deep-2", "sparse-j2-1", "sparse-j2-2")
 FLAGS = {"default": [], "literal": ["--weight-formula", "literal"],
          "caption": ["--rc-comparison", "caption"],
          "threshold-0.2": ["--edge-threshold", "0.2"]}
+GRAPH_FLAGS = ("default", "literal", "threshold-0.2")  # the FLAGS graph accepts
 HASH_SEEDS = ("0", "1")
-REPORT_FILES = ("report.json", "report.txt")
+OUTPUTS = {"run": ("report.json", "report.txt"), "graph": ("graph.tsv", "graph.dot")}
 
 
 def base_src(base: str, work: Path) -> Path:
@@ -68,39 +76,44 @@ def base_src(base: str, work: Path) -> Path:
 
 
 def build_corpora(names: tuple[str, ...], work: Path) -> None:
-    """Write each named corpus to ``work / name``."""
+    """Write each named corpus to ``work / name / "corpus"``: ``M`` with the
+    generator, a benchmark workload with the benchmark's ``prepare``."""
     for path in (ROOT / "src", ROOT / "perfbench"):
         if str(path) not in sys.path:
             sys.path.insert(0, str(path))
-    from apicomp.rng import SplitMix64
     from apicomp.synth import PlantSpec, write_generated
-    from workloads import WORKLOADS, interleave, write_workload
+    from workloads import WORKLOADS
 
+    spec = importlib.util.spec_from_file_location("perfbench_run",
+                                                  ROOT / "perfbench" / "run.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
     for name in names:
         if name == "M":
-            write_generated(PlantSpec(**M_SPEC), work / name)
+            write_generated(PlantSpec(**M_SPEC), work / name / "corpus")
             continue
         workload, seed = name.rsplit("-", 1)
-        corpus, _ = WORKLOADS[workload].build(int(seed))
-        if WORKLOADS[workload].glue:
-            interleave(corpus, SplitMix64(int(seed)))
-        write_workload(corpus, work / name)
+        failures: list[str] = []
+        bench.prepare(WORKLOADS[workload], int(seed), work / name, failures)
+        if failures:
+            raise SystemExit(f"ab: {name}: {'; '.join(failures)}")
 
 
-def run_case(src: Path, work: Path, corpus: str, flags: list[str],
-             hash_seed: str) -> tuple:
-    """``(exit code, stderr, report.json bytes, report.txt bytes)`` of one
-    ``apicomp run`` from ``src``; a missing file is ``None``."""
+def run_case(src: Path, work: Path, command: str, corpus: str, flags: list[str],
+             hash_seed: str) -> tuple[int, str, dict]:
+    """``(exit code, stderr, files)`` of one ``apicomp command`` from
+    ``src``: ``files`` maps each of the command's ``OUTPUTS`` to its bytes,
+    or to ``None`` when it was not written."""
     out = work / "out"
     shutil.rmtree(out, ignore_errors=True)
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=hash_seed)
     proc = subprocess.run(
-        [sys.executable, "-m", "apicomp.cli", "run", "--corpus", corpus,
-         "--classifier", f"{corpus}/classifier.txt", "--out", "out", *flags],
+        [sys.executable, "-m", "apicomp.cli", command, "--corpus", f"{corpus}/corpus",
+         "--classifier", f"{corpus}/corpus/classifier.txt", "--out", "out", *flags],
         cwd=work, env=env, capture_output=True, text=True)
-    files = [out / name for name in REPORT_FILES]
-    return (proc.returncode, proc.stderr,
-            *(path.read_bytes() if path.is_file() else None for path in files))
+    return proc.returncode, proc.stderr, {
+        name: (out / name).read_bytes() if (out / name).is_file() else None
+        for name in OUTPUTS[command]}
 
 
 _ABSENT = object()  # a key or item that one side lacks
@@ -123,11 +136,12 @@ def first_json_difference(a, b, path: str = "$") -> tuple[str, object, object] |
 
 def describe(base: tuple, work: tuple) -> str | None:
     """Where two ``run_case`` results first differ, or ``None``."""
-    (base_code, base_err, *base_files), (work_code, work_err, *work_files) = base, work
+    (base_code, base_err, base_files), (work_code, work_err, work_files) = base, work
     if base_code != work_code:
         last = (work_err or base_err).strip().splitlines()[-1:] or [""]
         return f"exit code base {base_code}, work {work_code}: {last[0]}"
-    for name, old, new in zip(REPORT_FILES, base_files, work_files):
+    for name, old in base_files.items():
+        new = work_files[name]
         if old == new:
             continue
         if old is None or new is None:
@@ -160,16 +174,17 @@ def main(argv: list[str] | None = None) -> int:
     work.mkdir(parents=True)
     sides = base_src(args.base, work), ROOT / "src"
     build_corpora(CORPORA, work)
-    cases = [(corpus, flags, seed) for corpus in CORPORA
-             for flags in FLAGS for seed in HASH_SEEDS]
+    cases = [(command, corpus, flags, seed) for corpus in CORPORA
+             for command, flag_sets in (("run", FLAGS), ("graph", GRAPH_FLAGS))
+             for flags in flag_sets for seed in HASH_SEEDS]
     same = 0
-    for corpus, flags, seed in cases:
-        difference = describe(*(run_case(src, work, corpus, FLAGS[flags], seed)
+    for command, corpus, flags, seed in cases:
+        difference = describe(*(run_case(src, work, command, corpus, FLAGS[flags], seed)
                                 for src in sides))
         if difference is None:
             same += 1
         else:
-            print(f"DIFF {corpus} {flags} PYTHONHASHSEED={seed}: {difference}")
+            print(f"DIFF {command} {corpus} {flags} PYTHONHASHSEED={seed}: {difference}")
     print(f"ab: {same} of {len(cases)} cases identical, base {args.base}")
     return 0 if same == len(cases) else 1
 
