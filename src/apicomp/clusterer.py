@@ -14,22 +14,27 @@ unit. Clustering runs in two phases:
    found among the satellites of the current star is dissolved when it is
    redundant (it lies inside another chosen star and more than half of its
    satellites are already covered by the other stars), and its satellites
-   are absorbed into the current star. Every surviving center emits one
+   are absorbed into the current star. Absorbing keeps every vertex of the
+   dissolved star inside the current one, so redundancy never changes
+   during the phase and is decided once. Every surviving center emits one
    cluster: the center plus its satellites.
 
 Clusters may overlap and always cover every vertex. Ties are broken by
 higher degree and then by method name, so results are deterministic.
 
-Star qualities and the cover run on the graph's ``IntView``, whose vertex
-numbers follow name order, so comparing ints breaks ties as names would.
-The cover scores each distinct star once: methods always used together
-share one closed neighbourhood, hence one star.
+Both phases run on the graph's ``IntView``, whose vertex numbers follow
+name order, so comparing ints breaks ties as names would; names enter only
+the returned ``CoverState`` and ``Cluster``s. Relative density and relative
+compactness are one rule, the share of a star's satellites that pass a
+test. The cover scores each distinct star once: methods always used
+together share one closed neighbourhood, hence one star.
 """
 
 from __future__ import annotations
 
 from collections import Counter, namedtuple
 from itertools import chain, repeat
+from operator import gt, lt
 from typing import NamedTuple, Sequence
 
 from .graph_builder import ApiGraph, IntView
@@ -112,25 +117,20 @@ def ws_quality(ws: WsGraph, graph: ApiGraph) -> float:
     return _members_quality(sorted(view.ids[m] for m in ws.members), view)
 
 
-def _uncovered_share(satellites, covered) -> float:
-    if not satellites:
-        return 0.0
-    return sum(1 for s in satellites if s not in covered) / len(satellites)
+def _share(satellites, hit) -> float:
+    """Share of the satellites for which ``hit`` holds; 0 when there are
+    none. Relative density and relative compactness are both this rule."""
+    return sum(map(hit, satellites)) / len(satellites) if satellites else 0.0
 
 
 def _compactness(satellites, qualities, own: float, config: ClusterConfig) -> float:
-    if not satellites:
-        return 0.0
-    if config.rc_comparison == "prose":
-        count = sum(1 for s in satellites if qualities[s] < own)
-    else:
-        count = sum(1 for s in satellites if qualities[s] > own)
-    return count / len(satellites)
+    beats = lt if config.rc_comparison == "prose" else gt
+    return _share(satellites, lambda s: beats(qualities[s], own))
 
 
 def relative_density(v: MethodRef, state: CoverState, graph: ApiGraph) -> float:
     """Share of v's satellites not covered yet; 0 for isolated vertices."""
-    return _uncovered_share(graph.neighbors(v), state.covered)
+    return _share(graph.neighbors(v), lambda s: s not in state.covered)
 
 
 def relative_compactness(v: MethodRef, graph: ApiGraph,
@@ -193,53 +193,37 @@ def refine_clusters(graph: ApiGraph, state: CoverState,
 
     A chosen star is redundant when its center sits inside another chosen
     star and more than half of its satellites lie in the other stars.
-    Satellite sets start as the cover-phase snapshots; absorbing a star
-    only ever mutates the star currently being emitted. A dissolved center
-    stays a member of the absorbing cluster, so the cover is preserved
-    while the cluster count can only shrink. ``config`` changes nothing;
-    it is accepted so that a caller can pass both phases the same one.
+    Centers are visited by decreasing degree, then name. Each center not
+    dissolved yet emits its star, plus the stars of the redundant centers
+    among its satellites that have emitted none, which dissolve into it.
+    Every vertex of a dissolved star stays in the absorbing cluster, so the
+    cover is preserved while the cluster count can only shrink. ``config``
+    changes nothing; it is accepted so that a caller can pass both phases
+    the same one.
     """
-    satellites = {c: set(graph.neighbors(c)) for c in state.centers}
-    order = sorted(state.centers, key=lambda v: (-graph.degree(v), v))
-    alive = set(state.centers)
-    visited: set[MethodRef] = set()
+    view = graph.int_view()
+    adjacency, names = view.adjacency, view.names
+    centers = [view.ids[c] for c in state.centers]
+    # How many chosen stars ({center} + satellites) contain each vertex: a
+    # vertex of star(u) lies in another star iff its count is >= 2. Absorbing
+    # a star keeps each of its vertices inside the absorbing star, so the
+    # union of the stars other than u, hence whether u is redundant, never
+    # changes while u is alive: redundancy is decided once, up front. Only
+    # a center inside another star (a count >= 2) can be dissolved into it.
+    containing = Counter(chain(centers, *(adjacency[c] for c in centers)))
+    redundant = {u for u in centers if containing[u] >= 2
+                 and 2 * sum(containing[s] >= 2 for s in adjacency[u]) > len(adjacency[u])}
+    dissolved: set[int] = set()
     clusters: list[Cluster] = []
-
-    # How many alive stars ({center} + satellites) contain each vertex.
-    # A vertex x inside star(u) is also inside some other star iff its
-    # count is >= 2, which keeps the redundancy test O(|satellites|).
-    containing = Counter()
-    for center in state.centers:
-        containing[center] += 1
-        containing.update(satellites[center])
-
-    # Only an alive center u inside the star of another alive center v is
-    # tested, so u is counted for both stars (containing[u] >= 2), and an
-    # empty ``own`` gives 0 > 0, False, with no guard. No center is ever
-    # its own satellite: edges have no self-loops, and ``absorbed``
-    # subtracts {v}.
-    def is_useless(u: MethodRef) -> bool:
-        own = satellites[u]
-        shared = sum(1 for s in own if containing[s] >= 2)
-        return 2 * shared > len(own)
-
-    for v in order:
-        if v not in alive:
+    for v in sorted(centers, key=lambda i: (-len(adjacency[i]), i)):
+        if v in dissolved:
             continue
-        for u in sorted(satellites[v]):
-            if u not in alive or u in visited:
-                continue
-            if is_useless(u):
-                containing.subtract(satellites[u])
-                containing[u] -= 1
-                absorbed = (satellites[u] | {u}) - {v} - satellites[v]
-                satellites[v] |= absorbed
-                containing.update(absorbed)
-                alive.discard(u)
-            else:
-                visited.add(u)
-        clusters.append(Cluster(v, frozenset(satellites[v] | {v})))
-        visited.add(v)
+        redundant.discard(v)  # an emitted star is never dissolved
+        absorbed = redundant.intersection(adjacency[v])
+        redundant -= absorbed
+        dissolved |= absorbed
+        members = {v}.union(adjacency[v], *(adjacency[u] for u in absorbed))
+        clusters.append(Cluster(names[v], frozenset([names[i] for i in members])))
     return clusters
 
 

@@ -394,6 +394,65 @@ def test_each_distinct_star_is_scored_once(monkeypatch):
     assert len(state.centers) == len(sizes)
 
 
+@st.composite
+def hub_graphs(draw):
+    """Cliques at partial edge density plus hubs joined to every other
+    vertex, the names shuffled so that hubs fall anywhere in name order."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    size = draw(st.integers(2, 6))
+    n = size * draw(st.integers(1, 6))
+    density = draw(st.sampled_from([0.5, 0.8, 1.0]))
+    edges = [(base + a, base + b) for base in range(0, n, size)
+             for a in range(size) for b in range(a + 1, size) if rng.random() < density]
+    hubs = range(n, n + draw(st.integers(1, 3)))
+    edges += [(i, h) for h in hubs for i in range(h)]
+    vertices = [MethodRef("g.C", f"v{i:02d}") for i in range(hubs.stop)]
+    rng.shuffle(vertices)
+    graph = ApiGraph(vertices)
+    for a, b in edges:
+        graph.add_edge(vertices[a], vertices[b], rng.choice([0.25, 0.5, 1.0, rng.random()]))
+    return graph
+
+
+def name_level_refine(graph: ApiGraph, state: CoverState) -> list[Cluster]:
+    """The refinement written over names: ``graph.neighbors``,
+    ``graph.degree`` and ``MethodRef`` sets, with the redundancy test
+    counted from scratch over the alive stars each time."""
+    satellites = {c: set(graph.neighbors(c)) for c in state.centers}
+    order = sorted(state.centers, key=lambda v: (-graph.degree(v), v))
+    alive, visited, clusters = set(state.centers), set(), []
+    for v in order:
+        if v not in alive:
+            continue
+        for u in sorted(satellites[v]):
+            if u not in alive or u in visited:
+                continue
+            others = set().union(*(satellites[c] | {c} for c in alive if c != u))
+            if 2 * len(satellites[u] & others) > len(satellites[u]):
+                satellites[v] |= (satellites[u] | {u}) - {v}
+                alive.discard(u)
+            else:
+                visited.add(u)
+        clusters.append(Cluster(v, frozenset(satellites[v] | {v})))
+        visited.add(v)
+    return clusters
+
+
+@pytest.mark.parametrize("rc_comparison", RC_COMPARISONS)
+@given(graph=st.one_of(twin_graphs(), hub_graphs()), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_refinement_equals_the_name_level_reference(rc_comparison, graph, seed):
+    """On the cover's own state and on a random list of distinct centers
+    that claims every vertex covered."""
+    config = ClusterConfig(rc_comparison)
+    vertices = graph.vertices
+    rng = random.Random(seed)
+    for state in (initial_clusters(graph, config),
+                  CoverState(rng.sample(vertices, rng.randint(0, len(vertices))),
+                             set(vertices))):
+        assert refine_clusters(graph, state, config) == name_level_refine(graph, state)
+
+
 def test_render_clusters_sorted_center_first():
     clusters = [Cluster(m("g.C.z"), frozenset([m("g.C.z"), m("g.C.a")])),
                 Cluster(m("g.C.b"), frozenset([m("g.C.b")]))]

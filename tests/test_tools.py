@@ -49,6 +49,7 @@ def test_counts_lines_spanned_by_code_tokens(tmp_path, capsys):
 
 _FOLD = "row[1] += app_dist / size"
 _APP_ORDER = "for trees in corpus.trees.values():"
+_SATELLITE_ORDER = "[c.center.qualified, *rest]"
 
 
 def test_ab_finds_a_copy_identical_and_locates_a_mutated_fold(tmp_path, capsys, monkeypatch):
@@ -57,7 +58,9 @@ def test_ab_finds_a_copy_identical_and_locates_a_mutated_fold(tmp_path, capsys, 
     each differing case is reported with its first differing JSON path or
     text line, and the tool exits 1. Folding the apps in reverse moves only
     the last bits of some pair weights, which no report holds, so only the
-    ``graph`` case shows it."""
+    ``graph`` case shows it. Writing each cluster's satellites in reverse
+    touches only the cluster text of ``apicomp cluster``, so only the
+    ``cluster`` case shows it."""
     # deep-1 at --edge-threshold 0.2 is the grid case whose report moves
     # when an app's distance sum is divided by its trees that hold the pair.
     monkeypatch.setattr(ab, "CORPORA", ("deep-1",))
@@ -69,7 +72,7 @@ def test_ab_finds_a_copy_identical_and_locates_a_mutated_fold(tmp_path, capsys, 
                     ignore=shutil.ignore_patterns("__pycache__"))
     work = ["--work", str(tmp_path / "work")]
     assert ab.main([str(base), *work]) == 0
-    assert capsys.readouterr().out == f"ab: 2 of 2 cases identical, base {base}\n"
+    assert capsys.readouterr().out == f"ab: 3 of 3 cases identical, base {base}\n"
 
     metrics = base / "src" / "apicomp" / "metrics.py"
     source = metrics.read_text(encoding="utf-8")
@@ -81,14 +84,26 @@ def test_ab_finds_a_copy_identical_and_locates_a_mutated_fold(tmp_path, capsys, 
     assert report.startswith("DIFF run deep-1 threshold-0.2 PYTHONHASHSEED=0: report.json "
                              "$.component_stats.avg_component_classes: base ")
     assert graph.startswith("DIFF graph deep-1 threshold-0.2 PYTHONHASHSEED=0: graph.tsv line ")
-    assert summary == f"ab: 0 of 2 cases identical, base {base}"
+    assert summary == f"ab: 1 of 3 cases identical, base {base}"
 
     metrics.write_text(source.replace(_APP_ORDER, "for trees in reversed(corpus.trees.values()):"),
                        encoding="utf-8")
     assert ab.main([str(base), *work]) == 1
     graph, summary = capsys.readouterr().out.splitlines()
     assert graph.startswith("DIFF graph deep-1 threshold-0.2 PYTHONHASHSEED=0: graph.tsv line ")
-    assert summary == f"ab: 1 of 2 cases identical, base {base}"
+    assert summary == f"ab: 2 of 3 cases identical, base {base}"
+
+    metrics.write_text(source, encoding="utf-8")
+    clusterer = base / "src" / "apicomp" / "clusterer.py"
+    text = clusterer.read_text(encoding="utf-8")
+    assert text.count(_SATELLITE_ORDER) == 1
+    clusterer.write_text(text.replace(_SATELLITE_ORDER, "[c.center.qualified, *rest[::-1]]"),
+                         encoding="utf-8")
+    assert ab.main([str(base), *work]) == 1
+    clusters, summary = capsys.readouterr().out.splitlines()
+    assert clusters.startswith("DIFF cluster deep-1 threshold-0.2 PYTHONHASHSEED=0: "
+                               "clusters.txt line 1: ")
+    assert summary == f"ab: 2 of 3 cases identical, base {base}"
 
 
 @pytest.mark.parametrize("a, b, path", [

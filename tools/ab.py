@@ -10,9 +10,12 @@ every case of a fixed grid, one after the other, from the same working
 directory and the same relative paths, so both reports echo the same corpus
 path. A case is identical when the exit codes and the files it writes are,
 byte for byte: ``report.json`` and ``report.txt`` for ``apicomp run``,
-``graph.tsv`` and ``graph.dot`` for ``apicomp graph``. Only the graph holds
-the pair weights, written with ``repr``, so only its cases show a float
-that drifts without moving a report.
+``graph.tsv`` and ``graph.dot`` for ``apicomp graph``, ``clusters.txt`` for
+``apicomp cluster``. Only the graph holds the pair weights, written with
+``repr``, so only its cases show a float that drifts without moving a
+report. Each ``graph`` case is followed by a ``cluster`` case, in which
+both sides cluster the ``graph.tsv`` the base side has just written, so it
+sees the edge-list reader, the clusterer and the cluster text alone.
 
 The grid is every combination of:
 
@@ -23,14 +26,15 @@ The grid is every combination of:
   ``classifier.txt``;
 * commands and flags: ``run`` with the default, ``--weight-formula
   literal``, ``--rc-comparison caption`` and ``--edge-threshold 0.2``;
-  ``graph`` with the same less ``--rc-comparison``, which it does not take;
+  ``graph`` with the same less ``--rc-comparison``, which it does not take,
+  each followed by ``cluster`` with the default flags;
 * ``PYTHONHASHSEED`` 0 and 1.
 
-The corpora are written with the working tree's generator. For each
-differing case, one line names the case and the first differing JSON path,
-or text line; the last line counts the identical cases. Exits 1 if any case
-differs, else 0. The work directory (default ``.bench_work/ab``) is
-rewritten on every run.
+That is 100 cases. The corpora are written with the working tree's
+generator. For each differing case, one line names the case and the first
+differing JSON path, or text line; the last line counts the identical
+cases. Exits 1 if any case differs, else 0. The work directory (default
+``.bench_work/ab``) is rewritten on every run.
 """
 
 from __future__ import annotations
@@ -56,7 +60,8 @@ FLAGS = {"default": [], "literal": ["--weight-formula", "literal"],
          "threshold-0.2": ["--edge-threshold", "0.2"]}
 GRAPH_FLAGS = ("default", "literal", "threshold-0.2")  # the FLAGS graph accepts
 HASH_SEEDS = ("0", "1")
-OUTPUTS = {"run": ("report.json", "report.txt"), "graph": ("graph.tsv", "graph.dot")}
+OUTPUTS = {"run": ("report.json", "report.txt"), "graph": ("graph.tsv", "graph.dot"),
+           "cluster": ("clusters.txt",)}
 
 
 def base_src(base: str, work: Path) -> Path:
@@ -99,21 +104,28 @@ def build_corpora(names: tuple[str, ...], work: Path) -> None:
             raise SystemExit(f"ab: {name}: {'; '.join(failures)}")
 
 
-def run_case(src: Path, work: Path, command: str, corpus: str, flags: list[str],
-             hash_seed: str) -> tuple[int, str, dict]:
-    """``(exit code, stderr, files)`` of one ``apicomp command`` from
-    ``src``: ``files`` maps each of the command's ``OUTPUTS`` to its bytes,
-    or to ``None`` when it was not written."""
+def case_args(command: str, corpus: str, flags: str) -> list[str]:
+    """The ``apicomp`` arguments of one case; a ``cluster`` case reads
+    ``graph.tsv`` in the work directory."""
+    if command == "cluster":
+        return [command, "--graph", "graph.tsv", "--out", "out/clusters.txt"]
+    return [command, "--corpus", f"{corpus}/corpus", "--classifier",
+            f"{corpus}/corpus/classifier.txt", "--out", "out", *FLAGS[flags]]
+
+
+def run_case(src: Path, work: Path, args: list[str], hash_seed: str) -> tuple[int, str, dict]:
+    """``(exit code, stderr, files)`` of ``apicomp *args`` from ``src``, run
+    in ``work`` with ``out`` emptied: ``files`` maps each ``OUTPUTS`` file of
+    the command to its bytes, or to ``None`` when it was not written."""
     out = work / "out"
     shutil.rmtree(out, ignore_errors=True)
+    out.mkdir()
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=hash_seed)
-    proc = subprocess.run(
-        [sys.executable, "-m", "apicomp.cli", command, "--corpus", f"{corpus}/corpus",
-         "--classifier", f"{corpus}/corpus/classifier.txt", "--out", "out", *flags],
-        cwd=work, env=env, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-m", "apicomp.cli", *args],
+                          cwd=work, env=env, capture_output=True, text=True)
     return proc.returncode, proc.stderr, {
         name: (out / name).read_bytes() if (out / name).is_file() else None
-        for name in OUTPUTS[command]}
+        for name in OUTPUTS[args[0]]}
 
 
 _ABSENT = object()  # a key or item that one side lacks
@@ -175,12 +187,15 @@ def main(argv: list[str] | None = None) -> int:
     sides = base_src(args.base, work), ROOT / "src"
     build_corpora(CORPORA, work)
     cases = [(command, corpus, flags, seed) for corpus in CORPORA
-             for command, flag_sets in (("run", FLAGS), ("graph", GRAPH_FLAGS))
-             for flags in flag_sets for seed in HASH_SEEDS]
+             for commands, flag_sets in ((("run",), FLAGS), (("graph", "cluster"), GRAPH_FLAGS))
+             for flags in flag_sets for seed in HASH_SEEDS for command in commands]
     same = 0
     for command, corpus, flags, seed in cases:
-        difference = describe(*(run_case(src, work, command, corpus, FLAGS[flags], seed)
-                                for src in sides))
+        results = [run_case(src, work, case_args(command, corpus, flags), seed)
+                   for src in sides]
+        if command == "graph":  # the input of the next case, a cluster case
+            (work / "graph.tsv").write_bytes(results[0][2]["graph.tsv"] or b"")
+        difference = describe(*results)
         if difference is None:
             same += 1
         else:
