@@ -12,19 +12,21 @@ import importlib
 
 # Public name -> the submodule that defines it. Names load on first use
 # (PEP 562), so ``import apicomp`` or a CLI command loads only the
-# submodules it touches.
+# submodules it touches; a record of ``config`` loads no analysis stage.
 _EXPORTS = {
-    **dict.fromkeys(("Cluster", "ClusterConfig", "CoverState", "WsGraph", "cluster",
-                     "initial_clusters", "refine_clusters", "relative_compactness",
-                     "relative_density", "star", "ws_quality"), "clusterer"),
+    **dict.fromkeys(("Cluster", "CoverState", "WsGraph", "cluster", "initial_clusters",
+                     "refine_clusters", "relative_compactness", "relative_density",
+                     "star", "ws_quality"), "clusterer"),
     **dict.fromkeys(("CallWitness", "Component", "ComponentStats", "RelatednessLabels",
                      "assemble", "component_stats", "precision"), "components"),
-    **dict.fromkeys(("ApiGraph", "GraphConfig", "build_graph", "read_edge_list",
-                     "write_dot", "write_edge_list"), "graph_builder"),
-    **dict.fromkeys(("CorpusMetrics", "MetricConfig", "PairAffinity", "QualityWeights",
-                     "average_path_length", "call_dist", "call_freq", "call_weight",
-                     "co_occur", "distance", "global_freq", "local_freq", "pair_distance",
-                     "pair_weight", "quality", "weight"), "metrics"),
+    **dict.fromkeys(("ClusterConfig", "GraphConfig", "MetricConfig", "QualityWeights"),
+                    "config"),
+    **dict.fromkeys(("ApiGraph", "build_graph", "read_edge_list", "write_dot",
+                     "write_edge_list"), "graph_builder"),
+    **dict.fromkeys(("CorpusMetrics", "PairAffinity", "average_path_length", "call_dist",
+                     "call_freq", "call_weight", "co_occur", "distance", "global_freq",
+                     "local_freq", "pair_distance", "pair_weight", "quality", "weight"),
+                    "metrics"),
     **dict.fromkeys(("RunConfig", "run_pipeline"), "pipeline"),
     **dict.fromkeys(("prune", "prune_corpus"), "pruner"),
     **dict.fromkeys(("build_evaluation", "build_report", "render_report_text"), "report"),

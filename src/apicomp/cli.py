@@ -20,8 +20,16 @@ are those of the records that validate them. Each record a command builds
 from its options, ``generate``'s ``PlantSpec`` included, is built by
 ``_record`` from the options named after its fields, so no command names a
 record's fields again.
-Every stage runs serially;
-``--jobs`` is accepted and validated for compatibility but has no effect.
+
+At module level this imports only ``argparse``, ``io``, ``sys``,
+``pathlib`` and ``config``, which holds the records whose defaults and
+choices the parser reads. Each command imports the stages it calls inside
+its function, so ``--help`` and a usage error load nothing more, and
+``generate`` adds only the generator and the trace model. This matters
+because every process compiles what it imports when no bytecode is kept.
+
+Every stage runs serially; ``--jobs`` is accepted and validated for
+compatibility but has no effect.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 trace parse
 error, 3 empty corpus.
@@ -31,19 +39,11 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
 import sys
 from pathlib import Path
 
-from .clusterer import RC_COMPARISONS, ClusterConfig, cluster, render_clusters
-from .components import RelatednessLabels
-from .graph_builder import (GraphConfig, build_graph, read_edge_list,
-                            write_dot, write_edge_list)
-from .metrics import WEIGHT_FORMULAS, CorpusMetrics, MetricConfig, QualityWeights
-from .pipeline import RunConfig, load_pruned, run_pipeline
-from .report import build_evaluation, render_evaluation_text, write_evaluation
-from .trace_model import (TraceParseError, parse_method, read_lines, read_utf8,
-                          write_corpus)
+from .config import (RC_COMPARISONS, WEIGHT_FORMULAS, ClusterConfig, GraphConfig,
+                     MetricConfig, QualityWeights)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -91,6 +91,8 @@ def _record(cls, args):
 def _load(args, nothing: str):
     """The corpus and pruned corpus ``args`` name; an empty corpus ends the
     command with exit code 3, saying there is ``nothing``."""
+    from .pipeline import load_pruned
+
     corpus, pruned = load_pruned(args.corpus, args.classifier)
     if corpus.is_empty():
         print(f"empty corpus: {nothing}", file=sys.stderr)
@@ -100,6 +102,8 @@ def _load(args, nothing: str):
 
 def _method_set(raw: str) -> list:
     """The methods of one comma-separated method-set line, in line order."""
+    from .trace_model import parse_method
+
     methods = [parse_method(part) for part in raw.split(",") if part.strip()]
     if len(set(methods)) < 2:
         raise ValueError("a method set needs >= 2 distinct methods")
@@ -115,7 +119,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def cmd_generate(args) -> int:
-    from .synth import PlantSpec, write_generated  # only this command generates
+    from .synth import PlantSpec, write_generated
 
     # ``args`` holds only the options given (see ``build_parser``).
     corpus, truth = write_generated(_record(PlantSpec, args), args.out)
@@ -125,6 +129,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_prune(args) -> int:
+    from .trace_model import write_corpus
+
     corpus, pruned = _load(args, "nothing to prune")
     write_corpus(pruned, args.out)
     before = sum(t.node_count() for t in corpus.all_trees())
@@ -135,7 +141,10 @@ def cmd_prune(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    import csv  # only this command writes CSV
+    import csv
+
+    from .metrics import CorpusMetrics
+    from .trace_model import read_lines
 
     _, pruned = _load(args, "no metrics to compute")
     engine = CorpusMetrics(pruned, _record(MetricConfig, args))
@@ -153,6 +162,8 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_graph(args) -> int:
+    from .graph_builder import build_graph, write_dot, write_edge_list
+
     _, pruned = _load(args, "no graph to build")
     config = GraphConfig(weights=_record(QualityWeights, args),
                          edge_threshold=args.edge_threshold,
@@ -168,6 +179,9 @@ def cmd_graph(args) -> int:
 
 
 def cmd_cluster(args) -> int:
+    from .clusterer import cluster, render_clusters
+    from .graph_builder import read_edge_list
+
     graph = read_edge_list(args.graph)
     clusters = cluster(graph, _record(ClusterConfig, args))
     _emit(render_clusters(clusters), args.out)
@@ -177,6 +191,8 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_run(args) -> int:
+    from .pipeline import RunConfig, run_pipeline
+
     config = RunConfig(
         corpus_dir=Path(args.corpus),
         out_dir=Path(args.out),
@@ -199,6 +215,12 @@ def cmd_run(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    import json
+
+    from .components import RelatednessLabels
+    from .report import build_evaluation, render_evaluation_text, write_evaluation
+    from .trace_model import read_utf8
+
     report_path = Path(args.report)
     try:
         report = json.loads(read_utf8(report_path))
@@ -311,12 +333,17 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except SystemExit as exc:  # a usage error, --help or an empty corpus
         return int(exc.code or 0)
-    except TraceParseError as exc:
-        print(f"apicomp: parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except (ValueError, OSError) as exc:
         print(f"apicomp: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        # Only code that has loaded ``trace_model`` raises its parse error.
+        from .trace_model import TraceParseError
+
+        if not isinstance(exc, TraceParseError):
+            raise
+        print(f"apicomp: parse error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
 
 
 def entry() -> None:

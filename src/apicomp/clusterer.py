@@ -37,24 +37,10 @@ from itertools import chain, repeat
 from operator import gt, lt
 from typing import NamedTuple, Sequence
 
+from .config import RC_COMPARISONS, ClusterConfig  # also importable from here
 from .graph_builder import ApiGraph, IntView
 from .metrics import left_sum
 from .trace_model import MethodRef
-
-RC_COMPARISONS = ("prose", "caption")
-
-
-class ClusterConfig(namedtuple("ClusterConfig", "rc_comparison")):
-    """rc_comparison picks how relative compactness counts satellites:
-    "prose" (default) counts satellites with strictly worse star quality,
-    "caption" counts satellites with strictly better star quality."""
-
-    __slots__ = ()
-
-    def __new__(cls, rc_comparison: str = "prose") -> "ClusterConfig":
-        if rc_comparison not in RC_COMPARISONS:
-            raise ValueError(f"rc_comparison must be one of {RC_COMPARISONS}")
-        return tuple.__new__(cls, (rc_comparison,))
 
 
 class WsGraph(namedtuple("WsGraph", "center satellites")):

@@ -7,23 +7,12 @@ reaches the configured threshold; the quality score is the edge weight.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
-from .metrics import CorpusMetrics, MetricConfig, QualityWeights
+from .config import GraphConfig  # also importable from here
+from .metrics import CorpusMetrics
 from .trace_model import MethodRef, TraceCorpus, content_lines, parse_method
-
-
-class GraphConfig(namedtuple("GraphConfig", "weights edge_threshold metrics")):
-    __slots__ = ()
-
-    def __new__(cls, weights: QualityWeights = QualityWeights(),
-                edge_threshold: float = 0.0,
-                metrics: MetricConfig = MetricConfig()) -> "GraphConfig":
-        if not 0.0 <= edge_threshold < 1.0:
-            raise ValueError(f"edge_threshold must be in [0, 1), got {edge_threshold}")
-        return tuple.__new__(cls, (weights, edge_threshold, metrics))
 
 
 class IntView(NamedTuple):

@@ -32,60 +32,12 @@ from __future__ import annotations
 
 import itertools
 import sys
-from collections import namedtuple
 from functools import reduce
 from operator import add
 from typing import Iterator, NamedTuple
 
+from .config import WEIGHT_FORMULAS, MetricConfig, QualityWeights  # also importable from here
 from .trace_model import CallTree, MethodRef, TraceCorpus, _parents
-
-WEIGHT_FORMULAS = ("example", "literal")
-
-
-class QualityWeights(namedtuple("QualityWeights", "lambda_freq lambda_dist lambda_weight")):
-    """Lambda weights blending frequency, distance and weight into quality."""
-
-    __slots__ = ()
-
-    def __new__(cls, lambda_freq: float = 1.0, lambda_dist: float = 1.0,
-                lambda_weight: float = 1.0) -> "QualityWeights":
-        self = tuple.__new__(cls, (lambda_freq, lambda_dist, lambda_weight))
-        for name, value in zip(cls._fields, self):
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value}")
-        if self.total() <= 0.0:
-            raise ValueError("at least one lambda must be positive")
-        return self
-
-    def total(self) -> float:
-        return self.lambda_freq + self.lambda_dist + self.lambda_weight
-
-    def blend(self, freq: float, dist: float, weight: float) -> float:
-        """Quality from the three attribute values, normalized to [0, 1]."""
-        return (self.lambda_freq * freq + self.lambda_dist * dist
-                + self.lambda_weight * weight) / self.total()
-
-
-class MetricConfig(namedtuple("MetricConfig", "weight_formula")):
-    """Evaluation switches.
-
-    weight_formula:
-        "example" (default) averages a pair's per-tree weight over the trees
-        where the pair co-occurs; "literal" sums it over all trees and
-        divides by the number of applications, which can exceed 1.
-
-    Call distances have no switch: every mean path length is exact, over
-    all occurrence pairs.
-    """
-
-    __slots__ = ()
-    # Read only by perfbench's capped_share; ROADMAP item 2 removes it.
-    distance_pair_cap = 10_000
-
-    def __new__(cls, weight_formula: str = "example") -> "MetricConfig":
-        if weight_formula not in WEIGHT_FORMULAS:
-            raise ValueError(f"weight_formula must be one of {WEIGHT_FORMULAS}")
-        return tuple.__new__(cls, (weight_formula,))
 
 
 class PairAffinity(NamedTuple):

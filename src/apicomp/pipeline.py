@@ -13,10 +13,10 @@ from __future__ import annotations
 from pathlib import Path
 from typing import NamedTuple
 
-from .clusterer import ClusterConfig, cluster
+from .clusterer import cluster
 from .components import assemble
-from .graph_builder import GraphConfig, build_graph
-from .metrics import MetricConfig, QualityWeights
+from .config import ClusterConfig, GraphConfig, MetricConfig, QualityWeights
+from .graph_builder import build_graph
 from .pruner import prune_corpus
 from .report import build_report, write_report
 from .trace_model import ApiClassifier, TraceCorpus, load_corpus

@@ -24,15 +24,24 @@ def run_cli(*argv) -> int:
     return main(list(argv))
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+# Code that prints the apicomp submodules, and ``json``, loaded so far.
+LOADED = ("print(sorted(m for m in sys.modules"
+          " if m.startswith('apicomp.') or m == 'json'))")
+
+
+def fresh(*args, cwd=None) -> subprocess.CompletedProcess:
+    """``python *args`` in a fresh interpreter that imports ``apicomp`` from
+    this tree: nothing in it is loaded beforehand."""
+    return subprocess.run([sys.executable, *args], cwd=cwd,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, timeout=60)
+
+
 def test_import_loads_no_thread_pool():
     """Every stage runs serially, so importing the CLI must not import
     ``concurrent.futures``. A pool may come back only with a measured gain."""
-    src = Path(__file__).resolve().parent.parent / "src"
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, apicomp.cli; print('concurrent.futures' in sys.modules)"],
-        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
-        timeout=60)
+    proc = fresh("-c", "import sys, apicomp.cli; print('concurrent.futures' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
 
@@ -56,6 +65,29 @@ def test_run_loads_no_dataclasses_and_no_generate_only_module(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "0 []"
     assert (tmp_path / "out" / "report.json").is_file()
+
+
+@pytest.mark.parametrize("call", ["build_parser()", "main(['--help'])",
+                                  "main(['run', '--help'])"])
+def test_parser_and_help_load_only_cli_and_config(call):
+    """Building the parser, and every help screen it prints, needs only the
+    records' defaults and choices: no analysis stage and no ``json``."""
+    proc = fresh("-c", f"import sys\nfrom apicomp.cli import build_parser, main\n"
+                       f"{call}\n{LOADED}")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "['apicomp.cli', 'apicomp.config']"
+
+
+def test_generate_loads_no_analysis_stage(tmp_path):
+    """``generate`` adds only the generator, its random numbers and the
+    trace model it writes with."""
+    argv = ["generate", "--seed", "3", "--out", str(tmp_path / "corpus")]
+    proc = fresh("-c", f"import sys\nfrom apicomp.cli import main\n"
+                       f"print(main({argv!r}))\n{LOADED}")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-2:] == [
+        "0", "['apicomp.cli', 'apicomp.config', 'apicomp.rng', 'apicomp.synth', "
+             "'apicomp.trace_model']"]
 
 
 @pytest.fixture
@@ -212,6 +244,52 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert run_cli("cluster", "--help") == 0
         assert capsys.readouterr().out.startswith("usage: apicomp cluster [-h] --graph")
+
+
+class TestExitCodesInAFreshInterpreter:
+    """``main`` maps errors to exit codes without ``trace_model`` loaded
+    beforehand, as it is in the tests above."""
+
+    @pytest.mark.parametrize("command, options", [
+        ("run", ["--out", "out"]), ("prune", ["--out", "pruned"]),
+        ("metrics", ["--sets", "sets.txt"]), ("graph", ["--out", "graph"]),
+    ])
+    def test_corrupt_trace_is_parse_error(self, tmp_path, command, options):
+        write_corpus_dir(tmp_path, {"a": {"bad": "0\tnodot\n"}})
+        (tmp_path / "sets.txt").write_text("lib.A.a,lib.A.b\n", encoding="utf-8")
+        proc = fresh("-m", "apicomp.cli", command, "--corpus", "corpus", *options,
+                     cwd=tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("apicomp: parse error: ")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["cluster", "--graph", "graph.tsv"], "apicomp: error: "),
+        (["evaluate", "--report", "missing.json", "--labels", "labels.txt"],
+         "apicomp: error: "),
+        (["run", "--corpus", "corpus", "--out", "out", "--no-such-option"],
+         "usage: apicomp "),
+    ], ids=["bad-graph", "missing-report", "unknown-option"])
+    def test_bad_input_is_usage_error(self, tmp_path, argv, message):
+        (tmp_path / "graph.tsv").write_text("lib.A.a\tlib.A.b\theavy\n", encoding="utf-8")
+        (tmp_path / "labels.txt").write_text("lib.A.a\tlib.A.b\n", encoding="utf-8")
+        proc = fresh("-m", "apicomp.cli", *argv, cwd=tmp_path)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith(message)
+
+
+def test_an_unexpected_error_escapes_main(fig_corpus, tmp_path, monkeypatch):
+    """Only parse, value and OS errors become exit codes; a ``KeyError`` from
+    a stage is a bug, and ``main`` lets it through."""
+    import apicomp.pipeline
+
+    def broken(config):
+        raise KeyError("broken stage")
+
+    monkeypatch.setattr(apicomp.pipeline, "run_pipeline", broken)
+    corpus, classifier = fig_corpus
+    with pytest.raises(KeyError, match="broken stage"):
+        run_cli("run", "--corpus", str(corpus), "--classifier", str(classifier),
+                "--out", str(tmp_path / "out"))
 
 
 def _subcommands() -> dict[str, argparse.ArgumentParser]:

@@ -87,6 +87,29 @@ class TestPackageNames:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    def test_a_record_loads_only_config(self):
+        """The analysis records live in ``config``, so naming one compiles no
+        analysis stage."""
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys\nfrom apicomp import GraphConfig\n"
+             "print(sorted(m for m in sys.modules if m.startswith('apicomp.')))"],
+            env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True,
+            timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "['apicomp.config']"
+
+    def test_config_imports_nothing_from_apicomp(self):
+        """``config`` stays the lean module the CLI's parser reads: it has no
+        relative import and no import of ``apicomp``."""
+        tree = ast.parse((SRC / "apicomp" / "config.py").read_text(encoding="utf-8"))
+        found = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)
+                 and (node.level or (node.module or "").split(".")[0] == "apicomp")
+                 or isinstance(node, ast.Import)
+                 and any(alias.name.split(".")[0] == "apicomp" for alias in node.names)]
+        assert found == []
+
 
 # A 720-deep chain whose frames alternate between an application method
 # and four API methods: pruned, it is 360 deep.

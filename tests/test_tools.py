@@ -1,7 +1,8 @@
 """The code-line counter in ``tools/code_lines.py`` and the report
-comparison in ``tools/ab.py``."""
+comparison and timing in ``tools/ab.py``."""
 
 import importlib.util
+import json
 import shutil
 from pathlib import Path
 
@@ -132,3 +133,26 @@ def test_a_revision_is_extracted_offline(tmp_path):
     assert src == tmp_path / "base" / "src" and (src / "apicomp" / "cli.py").is_file()
     with pytest.raises(SystemExit, match="neither a directory holding src/ nor a git revision"):
         ab.base_src("no-such-revision", tmp_path)
+
+
+def test_ab_time_writes_a_summary_of_every_command(tmp_path, capsys, monkeypatch):
+    """One ABBA round on ``deep-1``: the start-up code and ``apicomp run`` each
+    print one line and get a ratio, its quartiles and both sides' samples.
+    The keys are checked, not the numbers."""
+    monkeypatch.setattr(ab, "TIME_CORPORA", ("deep-1",))
+    monkeypatch.setattr(ab, "ROUNDS", 1)
+    base = tmp_path / "base"
+    shutil.copytree(ROOT / "src", base / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    work = tmp_path / "work"
+    assert ab.main([str(base), "--time", "--work", str(work)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["time setup", "time run deep-1"]
+    summary = json.loads((work / "time.json").read_text(encoding="utf-8"))
+    assert summary.keys() == {"base", "rounds", "commands"}
+    assert summary["base"] == str(base) and summary["rounds"] == 1
+    assert list(summary["commands"]) == ["setup", "run deep-1"]
+    for command in summary["commands"].values():
+        assert command.keys() == {"ratio", "base_s", "work_s"}
+        assert command["ratio"].keys() == {"median", "q1", "q3"}
+        assert len(command["base_s"]) == len(command["work_s"]) == 2

@@ -1,7 +1,7 @@
 """Check that a base revision and the working tree write the same reports
-and graphs.
+and graphs, or time the two against each other.
 
-Usage: ``python tools/ab.py BASE [--work DIR]``.
+Usage: ``python tools/ab.py BASE [--time] [--work DIR]``.
 
 ``BASE`` is a git revision, whose ``src/`` is extracted with ``git archive``
 under the work directory (no network needed), or a directory that holds
@@ -35,6 +35,18 @@ generator. For each differing case, one line names the case and the first
 differing JSON path, or text line; the last line counts the identical
 cases. Exits 1 if any case differs, else 0. The work directory (default
 ``.bench_work/ab``) is rewritten on every run.
+
+``--time`` times the two sides instead, out of process, on the benchmark's
+``deep-1`` and ``sparse-j2-1`` corpora (``TIME_CORPORA``). Each command
+runs once per side untimed, to warm the page cache, then ``ROUNDS`` times
+per side in ABBA order (base, work, work, base), each run in a fresh
+interpreter. The commands are the benchmark's own ``SETUP_CODE`` from
+``perfbench/run.py`` and ``apicomp run`` with the default flags on each
+corpus. Each base run and the work run beside it make one pair, whose
+ratio is work time over base time. For each command one line prints the
+median ratio with its quartiles and each side's median time, and
+``<work>/time.json`` holds the same with every sample. The in-process,
+per-stage half of the comparison is not written yet.
 """
 
 from __future__ import annotations
@@ -46,9 +58,11 @@ import json
 import os
 import shutil
 import subprocess
+import statistics
 import sys
 import tarfile
 from pathlib import Path
+from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
 M_SPEC = dict(component_count=10, app_count=20, trees_per_app=20,
@@ -62,6 +76,8 @@ GRAPH_FLAGS = ("default", "literal", "threshold-0.2")  # the FLAGS graph accepts
 HASH_SEEDS = ("0", "1")
 OUTPUTS = {"run": ("report.json", "report.txt"), "graph": ("graph.tsv", "graph.dot"),
            "cluster": ("clusters.txt",)}
+TIME_CORPORA = ("deep-1", "sparse-j2-1")
+ROUNDS = 20
 
 
 def base_src(base: str, work: Path) -> Path:
@@ -80,19 +96,26 @@ def base_src(base: str, work: Path) -> Path:
     return target / "src"
 
 
-def build_corpora(names: tuple[str, ...], work: Path) -> None:
-    """Write each named corpus to ``work / name / "corpus"``: ``M`` with the
-    generator, a benchmark workload with the benchmark's ``prepare``."""
+def perfbench():
+    """``perfbench/run.py`` as a module, with the working tree's ``src/`` and
+    ``perfbench/`` importable, as its ``prepare`` needs."""
     for path in (ROOT / "src", ROOT / "perfbench"):
         if str(path) not in sys.path:
             sys.path.insert(0, str(path))
-    from apicomp.synth import PlantSpec, write_generated
-    from workloads import WORKLOADS
-
     spec = importlib.util.spec_from_file_location("perfbench_run",
                                                   ROOT / "perfbench" / "run.py")
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
+    return bench
+
+
+def build_corpora(names: tuple[str, ...], work: Path) -> None:
+    """Write each named corpus to ``work / name / "corpus"``: ``M`` with the
+    generator, a benchmark workload with the benchmark's ``prepare``."""
+    bench = perfbench()
+    from apicomp.synth import PlantSpec, write_generated
+    from workloads import WORKLOADS
+
     for name in names:
         if name == "M":
             write_generated(PlantSpec(**M_SPEC), work / name / "corpus")
@@ -113,6 +136,17 @@ def case_args(command: str, corpus: str, flags: str) -> list[str]:
             f"{corpus}/corpus/classifier.txt", "--out", "out", *FLAGS[flags]]
 
 
+def python(src: Path, work: Path, argv: list[str],
+           hash_seed: str = "0") -> tuple[subprocess.CompletedProcess, float]:
+    """``python *argv`` in a fresh interpreter that imports ``apicomp`` from
+    ``src``, run in ``work``, and its wall time in seconds."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=hash_seed)
+    start = perf_counter()
+    proc = subprocess.run([sys.executable, *argv], cwd=work, env=env,
+                          capture_output=True, text=True)
+    return proc, perf_counter() - start
+
+
 def run_case(src: Path, work: Path, args: list[str], hash_seed: str) -> tuple[int, str, dict]:
     """``(exit code, stderr, files)`` of ``apicomp *args`` from ``src``, run
     in ``work`` with ``out`` emptied: ``files`` maps each ``OUTPUTS`` file of
@@ -120,9 +154,7 @@ def run_case(src: Path, work: Path, args: list[str], hash_seed: str) -> tuple[in
     out = work / "out"
     shutil.rmtree(out, ignore_errors=True)
     out.mkdir()
-    env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=hash_seed)
-    proc = subprocess.run([sys.executable, "-m", "apicomp.cli", *args],
-                          cwd=work, env=env, capture_output=True, text=True)
+    proc, _ = python(src, work, ["-m", "apicomp.cli", *args], hash_seed)
     return proc.returncode, proc.stderr, {
         name: (out / name).read_bytes() if (out / name).is_file() else None
         for name in OUTPUTS[args[0]]}
@@ -174,17 +206,51 @@ def describe(base: tuple, work: tuple) -> str | None:
     return None
 
 
+def time_sides(sides: tuple[Path, Path], work: Path) -> dict:
+    """Each timed command's samples and ratios (see the module docstring),
+    by command name."""
+    commands = {"setup": ["-c", perfbench().SETUP_CODE],
+                **{f"run {corpus}": ["-m", "apicomp.cli", *case_args("run", corpus, "default")]
+                   for corpus in TIME_CORPORA}}
+    summary = {}
+    for name, argv in commands.items():
+        samples: tuple[list[float], list[float]] = ([], [])
+        for side in [0, 1] + [0, 1, 1, 0] * ROUNDS:
+            proc, wall = python(sides[side], work, argv)
+            if proc.returncode:
+                raise SystemExit(f"ab: {name} exited {proc.returncode} on the "
+                                 f"{('base', 'work')[side]} side: {proc.stderr.strip()}")
+            samples[side].append(wall)
+        base, new = (side[1:] for side in samples)  # less the warm-up run
+        ratios = [w / b for b, w in zip(base, new)]
+        q1, median, q3 = statistics.quantiles(ratios, n=4)
+        summary[name] = {"ratio": {"median": median, "q1": q1, "q3": q3},
+                         "base_s": base, "work_s": new}
+        print(f"time {name}: work/base {median:.3f} [{q1:.3f}-{q3:.3f}], median "
+              f"base {statistics.median(base) * 1e3:.1f} ms, "
+              f"work {statistics.median(new) * 1e3:.1f} ms, {len(ratios)} pairs")
+    return summary
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base", metavar="BASE",
                         help="git revision, or directory holding src/")
     parser.add_argument("--work", type=Path, default=ROOT / ".bench_work" / "ab",
                         help="scratch directory, rewritten (default: %(default)s)")
+    parser.add_argument("--time", action="store_true",
+                        help="time the two sides instead of comparing outputs")
     args = parser.parse_args(argv)
     work = args.work.resolve()
     shutil.rmtree(work, ignore_errors=True)
     work.mkdir(parents=True)
     sides = base_src(args.base, work), ROOT / "src"
+    if args.time:
+        build_corpora(TIME_CORPORA, work)
+        summary = {"base": args.base, "rounds": ROUNDS, "commands": time_sides(sides, work)}
+        (work / "time.json").write_text(json.dumps(summary, indent=2) + "\n",
+                                        encoding="utf-8")
+        return 0
     build_corpora(CORPORA, work)
     cases = [(command, corpus, flags, seed) for corpus in CORPORA
              for commands, flag_sets in ((("run",), FLAGS), (("graph", "cluster"), GRAPH_FLAGS))
