@@ -14,7 +14,7 @@ artifacts:
 ``prune``, ``metrics`` and ``graph`` load a corpus through ``_load``, the
 one place that turns an empty corpus into exit code 3; ``run`` loads it
 inside ``pipeline.run_pipeline``, which writes an empty report first. Both
-read it with ``pipeline.load_pruned``. The options several commands share
+read it with ``pruner.load_pruned``. The options several commands share
 are declared once, as ``argparse`` parent parsers whose defaults and choices
 are those of the records that validate them. Each record a command builds
 from its options, ``generate``'s ``PlantSpec`` included, is built by
@@ -24,8 +24,9 @@ record's fields again.
 At module level this imports only ``argparse``, ``io``, ``sys``,
 ``pathlib`` and ``config``, which holds the records whose defaults and
 choices the parser reads. Each command imports the stages it calls inside
-its function, so ``--help`` and a usage error load nothing more, and
-``generate`` adds only the generator and the trace model. This matters
+its function, so ``--help`` and a usage error load nothing more,
+``generate`` adds only the generator and the trace model, and ``prune``,
+``metrics`` and ``graph`` stop at the stage they run. This matters
 because every process compiles what it imports when no bytecode is kept.
 
 Every stage runs serially; ``--jobs`` is accepted and validated for
@@ -91,7 +92,7 @@ def _record(cls, args):
 def _load(args, nothing: str):
     """The corpus and pruned corpus ``args`` name; an empty corpus ends the
     command with exit code 3, saying there is ``nothing``."""
-    from .pipeline import load_pruned
+    from .pruner import load_pruned
 
     corpus, pruned = load_pruned(args.corpus, args.classifier)
     if corpus.is_empty():

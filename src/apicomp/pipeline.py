@@ -1,11 +1,10 @@
 """End-to-end orchestration: parse, classify, prune, score, cluster, report.
 
-The front of the chain, corpus to pruned corpus, is ``load_pruned``, which
-every subcommand that reads a corpus calls. Every corpus runs one chain:
-each stage maps empty input to empty output, so an empty corpus needs no
-branch here, and only the CLI turns it into an exit code. Every stage runs
-serially, in input order: threads never measured faster on these
-pure-Python per-tree steps, so there is no pool.
+The front of the chain, corpus to pruned corpus, is ``pruner.load_pruned``.
+Every corpus runs one chain: each stage maps empty input to empty output,
+so an empty corpus needs no branch here, and only the CLI turns it into an
+exit code. Every stage runs serially, in input order: threads never
+measured faster on these pure-Python per-tree steps, so there is no pool.
 """
 
 from __future__ import annotations
@@ -17,9 +16,8 @@ from .clusterer import cluster
 from .components import assemble
 from .config import ClusterConfig, GraphConfig, MetricConfig, QualityWeights
 from .graph_builder import build_graph
-from .pruner import prune_corpus
+from .pruner import load_pruned
 from .report import build_report, write_report
-from .trace_model import ApiClassifier, TraceCorpus, load_corpus
 
 
 class RunConfig(NamedTuple):
@@ -44,17 +42,6 @@ class RunConfig(NamedTuple):
                 "classifier": str(self.classifier_path) if self.classifier_path else None,
                 "edge_threshold": self.edge_threshold, **self.weights._asdict(),
                 **self.metric_config._asdict(), **self.cluster_config._asdict()}
-
-
-def load_pruned(corpus_dir: str | Path, classifier_path: str | Path | None
-                ) -> tuple[TraceCorpus, TraceCorpus]:
-    """Load and classify a corpus, then prune it: ``(corpus, pruned)``. An
-    empty corpus gives an empty ``pruned``. Without a classifier file every
-    method is API."""
-    classifier = (ApiClassifier.load(classifier_path) if classifier_path
-                  else ApiClassifier.match_all())
-    corpus = load_corpus(corpus_dir, classifier)
-    return corpus, prune_corpus(corpus)
 
 
 def run_pipeline(config: RunConfig) -> dict:

@@ -6,11 +6,18 @@ APPLICATION node take its place in its parent's child list, preserving
 invocation order. When the root itself is an application frame, a synthetic
 connector root adopts the surviving top-level API subtrees so a scenario
 stays a single tree.
+
+``load_pruned`` is the front of the chain, corpus directory to pruned
+corpus, which every subcommand that reads a corpus calls; it needs only the
+trace model, so a command that stops there loads no scoring stage.
 """
 
 from __future__ import annotations
 
-from .trace_model import CallTree, Origin, PrunedTree, TraceCorpus
+from pathlib import Path
+
+from .trace_model import (ApiClassifier, CallTree, Origin, PrunedTree, TraceCorpus,
+                          load_corpus)
 
 
 def prune(tree: CallTree) -> PrunedTree:
@@ -43,3 +50,14 @@ def prune_corpus(corpus: TraceCorpus, _mapper=None) -> TraceCorpus:
     is dropped."""
     return TraceCorpus({app_id: [prune(tree) for tree in ts]
                         for app_id, ts in corpus.trees.items() if ts})
+
+
+def load_pruned(corpus_dir: str | Path, classifier_path: str | Path | None
+                ) -> tuple[TraceCorpus, TraceCorpus]:
+    """Load and classify a corpus, then prune it: ``(corpus, pruned)``. An
+    empty corpus gives an empty ``pruned``. Without a classifier file every
+    method is API."""
+    classifier = (ApiClassifier.load(classifier_path) if classifier_path
+                  else ApiClassifier.match_all())
+    corpus = load_corpus(corpus_dir, classifier)
+    return corpus, prune_corpus(corpus)

@@ -1,13 +1,30 @@
-"""Shared fixtures: hand-encoded example trees and corpus builders."""
+"""Shared fixtures: hand-encoded example trees and corpus builders, and a
+fresh interpreter to run ``apicomp`` in."""
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from apicomp.trace_model import (ApiClassifier, CallNode, CallTree, MethodRef,
                                  TraceCorpus, classify, parse_trace_file)
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def fresh(*args, cwd=None, **env) -> subprocess.CompletedProcess:
+    """``python *args`` in a fresh interpreter that imports ``apicomp`` from
+    this tree, with ``env`` set on top of the environment: nothing in it is
+    loaded beforehand."""
+    return subprocess.run([sys.executable, *args], cwd=cwd,
+                          env=dict(os.environ, PYTHONPATH=str(SRC), **env),
+                          capture_output=True, text=True, timeout=60)
 
 
 def m(qualified: str) -> MethodRef:

@@ -2,14 +2,10 @@ import argparse
 import csv
 import io
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-from conftest import API_CLASSIFIER, FIG_TREE_TEXT, write_corpus_dir
+from conftest import API_CLASSIFIER, FIG_TREE_TEXT, fresh, write_corpus_dir
 
 from apicomp.cli import build_parser, main
 from apicomp.clusterer import RC_COMPARISONS, ClusterConfig
@@ -24,26 +20,23 @@ def run_cli(*argv) -> int:
     return main(list(argv))
 
 
-SRC = Path(__file__).resolve().parent.parent / "src"
 # Code that prints the apicomp submodules, and ``json``, loaded so far.
 LOADED = ("print(sorted(m for m in sys.modules"
           " if m.startswith('apicomp.') or m == 'json'))")
 
 
-def fresh(*args, cwd=None) -> subprocess.CompletedProcess:
-    """``python *args`` in a fresh interpreter that imports ``apicomp`` from
-    this tree: nothing in it is loaded beforehand."""
-    return subprocess.run([sys.executable, *args], cwd=cwd,
-                          env=dict(os.environ, PYTHONPATH=str(SRC)),
-                          capture_output=True, text=True, timeout=60)
-
-
-def test_import_loads_no_thread_pool():
-    """Every stage runs serially, so importing the CLI must not import
-    ``concurrent.futures``. A pool may come back only with a measured gain."""
-    proc = fresh("-c", "import sys, apicomp.cli; print('concurrent.futures' in sys.modules)")
+def test_import_loads_no_thread_pool(tmp_path):
+    """Every stage runs serially, so ``apicomp run``, which loads every
+    stage, must not import ``concurrent.futures``. A pool may come back only
+    with a measured gain."""
+    corpus = tmp_path / "corpus"
+    assert run_cli("generate", "--seed", "3", "--out", str(corpus)) == 0
+    argv = ["run", "--corpus", str(corpus), "--out", str(tmp_path / "out")]
+    proc = fresh("-c", "import sys\nfrom apicomp.cli import main\n"
+                       f"code = main({argv!r})\n"
+                       "print(code, 'concurrent.futures' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.splitlines()[-1] == "0 False"
 
 
 def test_run_loads_no_dataclasses_and_no_generate_only_module(tmp_path):
@@ -53,15 +46,10 @@ def test_run_loads_no_dataclasses_and_no_generate_only_module(tmp_path):
     corpus = tmp_path / "corpus"
     assert run_cli("generate", "--seed", "3", "--out", str(corpus)) == 0
     argv = ["run", "--corpus", str(corpus), "--out", str(tmp_path / "out")]
-    src = Path(__file__).resolve().parent.parent / "src"
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys\nfrom apicomp.cli import main\n"
-         f"code = main({argv!r})\n"
-         "print(code, [m for m in ('dataclasses', 'apicomp.synth', 'apicomp.rng', 'csv')"
-         " if m in sys.modules])"],
-        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
-        timeout=60)
+    proc = fresh("-c", "import sys\nfrom apicomp.cli import main\n"
+                       f"code = main({argv!r})\n"
+                       "print(code, [m for m in ('dataclasses', 'apicomp.synth', "
+                       "'apicomp.rng', 'csv') if m in sys.modules])")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "0 []"
     assert (tmp_path / "out" / "report.json").is_file()
@@ -88,6 +76,26 @@ def test_generate_loads_no_analysis_stage(tmp_path):
     assert proc.stdout.splitlines()[-2:] == [
         "0", "['apicomp.cli', 'apicomp.config', 'apicomp.rng', 'apicomp.synth', "
              "'apicomp.trace_model']"]
+
+
+@pytest.mark.parametrize("command, stages", [
+    (["prune", "--out", "pruned"], ["pruner", "trace_model"]),
+    (["metrics", "--sets", "sets.txt"], ["metrics", "pruner", "trace_model"]),
+    (["graph", "--out", "graph"], ["graph_builder", "metrics", "pruner", "trace_model"]),
+])
+def test_a_corpus_command_loads_only_the_stages_it_runs(tmp_path, command, stages):
+    """``prune``, ``metrics`` and ``graph`` read a corpus through
+    ``pruner.load_pruned`` and load no stage of the chain behind their own:
+    no clusterer, components, report or pipeline, and no ``json``."""
+    assert run_cli("generate", "--seed", "3", "--out", str(tmp_path / "corpus")) == 0
+    (tmp_path / "sets.txt").write_text("lib.A.a,lib.B.b\n", encoding="utf-8")
+    argv = [*command[:1], "--corpus", "corpus", *command[1:]]
+    proc = fresh("-c", f"import sys\nfrom apicomp.cli import main\n"
+                       f"print(main({argv!r}), file=sys.stderr)\n{LOADED}", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == "0"
+    assert proc.stdout.splitlines()[-1] == str(
+        ["apicomp.cli", "apicomp.config", *(f"apicomp.{stage}" for stage in stages)])
 
 
 @pytest.fixture

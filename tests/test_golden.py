@@ -12,12 +12,10 @@ recorded with CPython 3.11. Every float total is added left to right, by
 """
 
 import hashlib
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
+
+from conftest import fresh
 
 from apicomp.cli import main
 
@@ -82,15 +80,10 @@ def test_run_report_bytes_do_not_depend_on_the_hash_seed(tmp_path, monkeypatch):
     writes ``RUN_DIGEST`` both times, and the same ``report.txt``."""
     monkeypatch.chdir(tmp_path)
     assert main([*NOISY, "--out", "corpus"]) == 0
-    src = str(Path(__file__).resolve().parent.parent / "src")
     texts = []
     for seed in ("0", "1"):
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys\nfrom apicomp.cli import main\n"
-             "sys.exit(main(sys.argv[1:]))", "run", "--corpus", "corpus",
-             "--classifier", "corpus/classifier.txt", "--out", f"out{seed}"],
-            env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
-            capture_output=True, text=True, timeout=60)
+        proc = fresh("-m", "apicomp.cli", "run", "--corpus", "corpus", "--classifier",
+                     "corpus/classifier.txt", "--out", f"out{seed}", PYTHONHASHSEED=seed)
         assert proc.returncode == 0, proc.stderr
         out = tmp_path / f"out{seed}"
         assert hashlib.sha256((out / "report.json").read_bytes()).hexdigest() == RUN_DIGEST

@@ -1,18 +1,14 @@
 import hashlib
 import itertools
-import os
 import random
-import subprocess
-import sys
 from collections import Counter
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bruteforce as bf
-from conftest import build_corpus, build_tree, m, random_corpus, random_tree_spec
+from conftest import build_corpus, build_tree, fresh, m, random_corpus, random_tree_spec
 from test_golden import NOISY, RUN_DIGEST
 
 from apicomp import graph_builder, metrics
@@ -30,7 +26,6 @@ from apicomp.trace_model import (ApiClassifier, CallNode, CallTree, Origin,
 
 A, B, C, D, E, L = (m(f"lib.Ops.{x}") for x in "ABCDEL")
 TOL = 1e-12
-SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestConfigs:
@@ -671,9 +666,7 @@ class TestLeftSum:
             "from apicomp.cli import main\n"
             "assert main(['run', '--corpus', 'corpus', '--classifier',"
             " 'corpus/classifier.txt', '--out', 'out']) == 0\n")
-        proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
-                              env=dict(os.environ, PYTHONPATH=str(SRC)),
-                              capture_output=True, text=True, timeout=60)
+        proc = fresh("-c", code, cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
         report = (tmp_path / "out" / "report.json").read_bytes()
         assert hashlib.sha256(report).hexdigest() == RUN_DIGEST

@@ -10,16 +10,13 @@ unhashable trees.
 import ast
 import copy
 import importlib
-import os
 import pickle
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-from conftest import FIG_TREE_TEXT, write_corpus_dir
+from conftest import FIG_TREE_TEXT, SRC, fresh, write_corpus_dir
 
 import apicomp
 from apicomp.clusterer import Cluster, ClusterConfig, CoverState, WsGraph, cluster
@@ -55,7 +52,6 @@ PUBLIC_NAMES = {
                     "classify", "load_corpus", "parse_trace_file", "serialize_tree",
                     "tree_stats", "write_corpus"],
 }
-SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestPackageNames:
@@ -78,24 +74,16 @@ class TestPackageNames:
             exec("from apicomp import no_such_name", {})
 
     def test_bare_import_loads_no_submodule(self):
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, apicomp\n"
-             "print(sorted(m for m in sys.modules if m.startswith('apicomp.')))"],
-            env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True,
-            timeout=60)
+        proc = fresh("-c", "import sys, apicomp\n"
+                           "print(sorted(m for m in sys.modules if m.startswith('apicomp.')))")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
     def test_a_record_loads_only_config(self):
         """The analysis records live in ``config``, so naming one compiles no
         analysis stage."""
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys\nfrom apicomp import GraphConfig\n"
-             "print(sorted(m for m in sys.modules if m.startswith('apicomp.')))"],
-            env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True,
-            timeout=60)
+        proc = fresh("-c", "import sys\nfrom apicomp import GraphConfig\n"
+                           "print(sorted(m for m in sys.modules if m.startswith('apicomp.')))")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "['apicomp.config']"
 

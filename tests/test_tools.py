@@ -136,9 +136,9 @@ def test_a_revision_is_extracted_offline(tmp_path):
 
 
 def test_ab_time_writes_a_summary_of_every_command(tmp_path, capsys, monkeypatch):
-    """One ABBA round on ``deep-1``: the start-up code and ``apicomp run`` each
-    print one line and get a ratio, its quartiles and both sides' samples.
-    The keys are checked, not the numbers."""
+    """One ABBA round on ``deep-1``: the start-up code, ``apicomp run`` and
+    ``apicomp cluster`` each print one line and get a ratio, its quartiles
+    and both sides' samples. The keys are checked, not the numbers."""
     monkeypatch.setattr(ab, "TIME_CORPORA", ("deep-1",))
     monkeypatch.setattr(ab, "ROUNDS", 1)
     base = tmp_path / "base"
@@ -147,11 +147,12 @@ def test_ab_time_writes_a_summary_of_every_command(tmp_path, capsys, monkeypatch
     work = tmp_path / "work"
     assert ab.main([str(base), "--time", "--work", str(work)]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert [line.split(":")[0] for line in lines] == ["time setup", "time run deep-1"]
+    assert [line.split(":")[0] for line in lines] == [
+        "time setup", "time run deep-1", "time cluster deep-1"]
     summary = json.loads((work / "time.json").read_text(encoding="utf-8"))
     assert summary.keys() == {"base", "rounds", "commands"}
     assert summary["base"] == str(base) and summary["rounds"] == 1
-    assert list(summary["commands"]) == ["setup", "run deep-1"]
+    assert list(summary["commands"]) == ["setup", "run deep-1", "cluster deep-1"]
     for command in summary["commands"].values():
         assert command.keys() == {"ratio", "base_s", "work_s"}
         assert command["ratio"].keys() == {"median", "q1", "q3"}

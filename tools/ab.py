@@ -41,12 +41,15 @@ cases. Exits 1 if any case differs, else 0. The work directory (default
 runs once per side untimed, to warm the page cache, then ``ROUNDS`` times
 per side in ABBA order (base, work, work, base), each run in a fresh
 interpreter. The commands are the benchmark's own ``SETUP_CODE`` from
-``perfbench/run.py`` and ``apicomp run`` with the default flags on each
-corpus. Each base run and the work run beside it make one pair, whose
-ratio is work time over base time. For each command one line prints the
-median ratio with its quartiles and each side's median time, and
-``<work>/time.json`` holds the same with every sample. The in-process,
-per-stage half of the comparison is not written yet.
+``perfbench/run.py``, ``apicomp run`` with the default flags on each
+corpus, and ``apicomp cluster`` on each corpus's ``graph.tsv``, which the
+working tree's ``apicomp graph`` writes first: ``run`` loads every stage,
+``cluster`` only the edge-list reader and the clusterer. Each base run and
+the work run beside it make one pair, whose ratio is work time over base
+time. For each command one line prints the median ratio with its quartiles
+and each side's median time, and ``<work>/time.json`` holds the same with
+every sample. The in-process, per-stage half of the comparison is not
+written yet.
 """
 
 from __future__ import annotations
@@ -206,21 +209,35 @@ def describe(base: tuple, work: tuple) -> str | None:
     return None
 
 
+def checked(sides: tuple[Path, Path], side: int, work: Path, name: str,
+            argv: list[str]) -> float:
+    """The wall time of ``python *argv`` on one side; a failed run ends
+    ``ab`` with its error."""
+    proc, wall = python(sides[side], work, argv)
+    if proc.returncode:
+        raise SystemExit(f"ab: {name} exited {proc.returncode} on the "
+                         f"{('base', 'work')[side]} side: {proc.stderr.strip()}")
+    return wall
+
+
 def time_sides(sides: tuple[Path, Path], work: Path) -> dict:
     """Each timed command's samples and ratios (see the module docstring),
     by command name."""
     commands = {"setup": ["-c", perfbench().SETUP_CODE],
                 **{f"run {corpus}": ["-m", "apicomp.cli", *case_args("run", corpus, "default")]
+                   for corpus in TIME_CORPORA},
+                **{f"cluster {corpus}": ["-m", "apicomp.cli", "cluster", "--graph",
+                                         f"{corpus}/graph.tsv", "--out", f"{corpus}/clusters.txt"]
                    for corpus in TIME_CORPORA}}
+    for corpus in TIME_CORPORA:  # the graph.tsv that both sides cluster
+        checked(sides, 1, work, f"graph {corpus}",
+                ["-m", "apicomp.cli", "graph", "--corpus", f"{corpus}/corpus", "--classifier",
+                 f"{corpus}/corpus/classifier.txt", "--out", corpus])
     summary = {}
     for name, argv in commands.items():
         samples: tuple[list[float], list[float]] = ([], [])
         for side in [0, 1] + [0, 1, 1, 0] * ROUNDS:
-            proc, wall = python(sides[side], work, argv)
-            if proc.returncode:
-                raise SystemExit(f"ab: {name} exited {proc.returncode} on the "
-                                 f"{('base', 'work')[side]} side: {proc.stderr.strip()}")
-            samples[side].append(wall)
+            samples[side].append(checked(sides, side, work, name, argv))
         base, new = (side[1:] for side in samples)  # less the warm-up run
         ratios = [w / b for b, w in zip(base, new)]
         q1, median, q3 = statistics.quantiles(ratios, n=4)
