@@ -15,11 +15,13 @@ artifacts:
 one place that turns an empty corpus into exit code 3; ``run`` loads it
 inside ``pipeline.run_pipeline``, which writes an empty report first. Both
 read it with ``pruner.load_pruned``. The options several commands share
-are declared once, as ``argparse`` parent parsers whose defaults and choices
-are those of the records that validate them. Each record a command builds
-from its options, ``generate``'s ``PlantSpec`` included, is built by
-``_record`` from the options named after its fields, so no command names a
-record's fields again.
+are declared once, as option groups: lists of ``(flag, add_argument
+keywords)`` whose defaults and choices are those of the records that
+validate them. ``build_parser`` makes every command but ``generate`` in
+one loop, from its name, help, function and groups. Each record a command
+builds from its options, ``generate``'s ``PlantSpec`` included, is built
+by ``_record`` from the options named after its fields, so no command
+names a record's fields again.
 
 At module level this imports only ``argparse``, ``io``, ``sys``,
 ``pathlib`` and ``config``, which holds the records whose defaults and
@@ -70,15 +72,6 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
     return value
-
-
-def _parent(*options: tuple[str, dict]) -> argparse.ArgumentParser:
-    """An option group for ``parents=``: a parser holding each ``(flag,
-    add_argument keywords)`` of ``options``, in order."""
-    parent = argparse.ArgumentParser(add_help=False)
-    for flag, kwargs in options:
-        parent.add_argument(flag, **kwargs)
-    return parent
 
 
 def _record(cls, args):
@@ -262,69 +255,61 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="corpus output directory")
     p.set_defaults(func=cmd_generate)
 
-    # The option groups several commands share. Each default and choice list
-    # is the one of the record that validates the option.
+    # The option groups several commands share, each a list of ``(flag,
+    # add_argument keywords)``. Each default and choice list is the one of
+    # the record that validates the option.
     weights = QualityWeights()
-    corpus = _parent(
-        ("--corpus", dict(required=True, help="corpus directory")),
-        ("--classifier",
-         dict(help="API prefix file; omitted means every method is API")))
-    lambdas = [(f"--{field.replace('_', '-')}",
-                dict(type=float, default=getattr(weights, field),
-                     help=f"weight of call {what} in quality (default %(default)s)"))
-               for field, what in zip(weights._fields, ("frequency", "distance", "weight"))]
-    metric = _parent(
-        *lambdas,
-        ("--weight-formula",
-         dict(choices=WEIGHT_FORMULAS, default=MetricConfig().weight_formula,
-              help="pair weight aggregation (default %(default)s)")))
-    jobs = _parent(("--jobs", dict(
+    corpus = [("--corpus", dict(required=True, help="corpus directory")),
+              ("--classifier",
+               dict(help="API prefix file; omitted means every method is API"))]
+    metric = [(f"--{field.replace('_', '-')}",
+               dict(type=float, default=getattr(weights, field),
+                    help=f"weight of call {what} in quality (default %(default)s)"))
+              for field, what in zip(weights._fields, ("frequency", "distance", "weight"))]
+    metric.append(("--weight-formula",
+                   dict(choices=WEIGHT_FORMULAS, default=MetricConfig().weight_formula,
+                        help="pair weight aggregation (default %(default)s)")))
+    jobs = [("--jobs", dict(
         type=_positive_int, default=1,
         help="accepted for compatibility (an integer >= 1); has no effect, "
-             "because every stage runs serially")))
-    threshold = _parent(("--edge-threshold", dict(
+             "because every stage runs serially"))]
+    threshold = [("--edge-threshold", dict(
         type=float, default=GraphConfig().edge_threshold,
-        help="minimum quality for an edge (default %(default)s)")))
-    rc = _parent(("--rc-comparison", dict(
+        help="minimum quality for an edge (default %(default)s)"))]
+    rc = [("--rc-comparison", dict(
         choices=RC_COMPARISONS, default=ClusterConfig().rc_comparison,
-        help="relative compactness comparison (default %(default)s)")))
+        help="relative compactness comparison (default %(default)s)"))]
 
-    p = sub.add_parser("prune", help="strip application frames from a corpus",
-                       parents=[corpus, jobs])
-    p.add_argument("--out", required=True, help="pruned corpus directory")
-    p.set_defaults(func=cmd_prune)
-
-    p = sub.add_parser("metrics", help="score method sets over a corpus",
-                       parents=[corpus, metric])
-    p.add_argument("--sets", required=True,
-                   help="text file, one comma-separated method set per line")
-    p.add_argument("--out", default=None, help="CSV output (default stdout)")
-    p.set_defaults(func=cmd_metrics)
-
-    p = sub.add_parser("graph", help="build the weighted method graph",
-                       parents=[corpus, metric, jobs, threshold])
-    p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_graph)
-
-    # --graph is a group of its own only so that it stays listed first.
-    graph = _parent(("--graph", dict(required=True, help="edge list file (graph.tsv)")))
-    p = sub.add_parser("cluster", help="cluster an edge-list graph",
-                       parents=[graph, rc])
-    p.add_argument("--out", default=None, help="clusters file (default stdout)")
-    p.set_defaults(func=cmd_cluster)
-
-    p = sub.add_parser("run", help="run the full pipeline",
-                       parents=[corpus, metric, jobs, threshold, rc])
-    p.add_argument("--out", required=True, help="report output directory")
-    p.set_defaults(func=cmd_run)
-
-    p = sub.add_parser("evaluate", help="score report components against labels")
-    p.add_argument("--report", required=True, help="path to report.json")
-    p.add_argument("--labels", required=True,
-                   help="related pairs file: a.b<TAB>c.d per line")
-    p.add_argument("--out", default=None,
-                   help="evaluation output directory (default: report's)")
-    p.set_defaults(func=cmd_evaluate)
+    # Each command: its name, help and function, then its option groups in
+    # the order its options are listed; the last group is its own.
+    commands = [
+        ("prune", "strip application frames from a corpus", cmd_prune, corpus, jobs,
+         [("--out", dict(required=True, help="pruned corpus directory"))]),
+        ("metrics", "score method sets over a corpus", cmd_metrics, corpus, metric,
+         [("--sets", dict(required=True,
+                          help="text file, one comma-separated method set per line")),
+          ("--out", dict(default=None, help="CSV output (default stdout)"))]),
+        ("graph", "build the weighted method graph", cmd_graph,
+         corpus, metric, jobs, threshold,
+         [("--out", dict(required=True, help="output directory"))]),
+        ("cluster", "cluster an edge-list graph", cmd_cluster,
+         [("--graph", dict(required=True, help="edge list file (graph.tsv)"))], rc,
+         [("--out", dict(default=None, help="clusters file (default stdout)"))]),
+        ("run", "run the full pipeline", cmd_run, corpus, metric, jobs, threshold, rc,
+         [("--out", dict(required=True, help="report output directory"))]),
+        ("evaluate", "score report components against labels", cmd_evaluate,
+         [("--report", dict(required=True, help="path to report.json")),
+          ("--labels", dict(required=True,
+                            help="related pairs file: a.b<TAB>c.d per line")),
+          ("--out", dict(default=None,
+                         help="evaluation output directory (default: report's)"))]),
+    ]
+    for name, summary, func, *groups in commands:
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
+        for group in groups:
+            for flag, kwargs in group:
+                p.add_argument(flag, **kwargs)
     return parser
 
 

@@ -12,6 +12,13 @@ byte for byte after the relation's mapping:
 2. ``zz.`` before every class name and every classifier prefix, a rename
    that keeps name order: every output is identical once ``zz.`` is
    removed;
+3. an app rename that keeps app order and each id's length (each
+   character of the app ids mapped, in order, to a capital letter): every
+   output is identical once the ids are mapped back;
+4. ``perfbench/workloads.interleave``, which wraps about half of the API
+   calls in an application frame: the pruned corpus, ``graph.tsv``,
+   ``graph.dot``, the clusters and the reports are identical, but for the
+   recorded call-tree stats and their text table;
 5. the children of every node in reverse order: ``graph.tsv``,
    ``graph.dot`` and the clusters are identical, and so are the reports
    but for the first-call witnesses, which follow corpus order.
@@ -32,6 +39,8 @@ from test_golden import GENERATE, HAND_CORPUS, NOISY
 
 from apicomp.cli import main
 from apicomp.clusterer import RC_COMPARISONS
+from apicomp.rng import SplitMix64
+from apicomp.trace_model import ApiClassifier, load_corpus, write_corpus
 
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("ab", ROOT / "tools" / "ab.py")
@@ -89,6 +98,16 @@ def corpora(tmp_path_factory):
         found[name] = traces, classifier, outputs(tmp_path_factory.mktemp(name), traces,
                                                   classifier)
     return found
+
+
+def pruned(root: Path) -> dict[str, bytes]:
+    """The files ``apicomp prune`` writes for the corpus and classifier that
+    ``outputs`` left under ``root``, by path."""
+    out = root / "pruned"
+    assert main(["prune", "--corpus", str(root / "corpus"), "--classifier",
+                 str(root / "classifier.txt"), "--out", str(out)]) == 0
+    return {path.relative_to(out).as_posix(): path.read_bytes()
+            for path in sorted(out.rglob("*")) if path.is_file()}
 
 
 NOTES = ("# a comment", "", "   ", "\t# an indented comment\twith a tab")
@@ -168,3 +187,68 @@ def test_reversed_children_move_only_the_witnesses(name, corpora, tmp_path):
     assert reversed_traces != traces
     assert without_witnesses(outputs(tmp_path, reversed_traces, classifier)) == \
         without_witnesses(expected)
+
+
+def app_renames(traces: dict[str, str]) -> dict[str, str]:
+    """Each app id of ``traces`` by its new id: every character of the ids
+    mapped, in order, to a capital letter, which keeps the ids' order and
+    lengths."""
+    apps = sorted({path.split("/", 1)[0] for path in traces})
+    letters = {c: chr(ord("A") + i) for i, c in enumerate(sorted(set("".join(apps))))}
+    assert len(letters) <= 26
+    return {app: "".join(map(letters.get, app)) for app in apps}
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_an_app_rename_that_keeps_order_and_length_changes_only_the_ids(name, corpora,
+                                                                        tmp_path):
+    traces, classifier, expected = corpora[name]
+    renames = app_renames(traces)
+    assert not any(new.encode() in data for new in renames.values()
+                   for data in expected.values())
+    moved = {re.sub(r"^[^/]+", lambda app: renames[app[0]], path): text
+             for path, text in traces.items()}
+    got = outputs(tmp_path, moved, classifier)
+    for app, new in sorted(renames.items(), key=lambda item: -len(item[0])):
+        got = {path: data.replace(new.encode(), app.encode()) for path, data in got.items()}
+    assert got == expected
+
+
+def without_recorded_stats(files: dict[str, bytes]) -> dict[str, object]:
+    """``files`` with the recorded call-tree stats taken out of the
+    reports, and their table out of the report text."""
+    kept: dict[str, object] = {}
+    for path, data in files.items():
+        if path.endswith("report.json"):
+            kept[path] = {**json.loads(data), "call_tree_stats": None}
+        elif path.endswith("report.txt"):
+            kept[path] = re.sub(rb"Call trees \(as recorded\)\n.*?\n\n", b"", data,
+                                flags=re.DOTALL)
+        else:
+            kept[path] = data
+    return kept
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_interleaved_application_frames_move_only_the_recorded_stats(name, corpora,
+                                                                     tmp_path):
+    ab.perfbench()  # makes perfbench/ importable
+    from workloads import GLUE, interleave
+
+    traces, classifier, expected = corpora[name]
+    plain = tmp_path / "plain"
+    outputs(plain, traces, classifier)
+    api = ApiClassifier.load(plain / "classifier.txt")
+    assert not api.is_api(GLUE.class_name)
+    corpus = load_corpus(plain / "corpus", api)
+    interleave(corpus, SplitMix64(7))
+    write_corpus(corpus, tmp_path / "glued")
+    glued = {path.relative_to(tmp_path / "glued").as_posix(): path.read_text(encoding="utf-8")
+             for path in sorted((tmp_path / "glued").glob("*/*.trace"))}
+    assert glued.keys() == traces.keys() and glued != traces
+    got = outputs(tmp_path / "out", glued, classifier)
+    assert pruned(tmp_path / "out") == pruned(plain)
+    assert without_recorded_stats(got) == without_recorded_stats(expected)
+    assert all(json.loads(got[path])["call_tree_stats"] !=
+               json.loads(expected[path])["call_tree_stats"]
+               for path in got if path.endswith("report.json"))

@@ -51,6 +51,7 @@ def test_counts_lines_spanned_by_code_tokens(tmp_path, capsys):
 _FOLD = "row[1] += app_dist / size"
 _APP_ORDER = "for trees in corpus.trees.values():"
 _SATELLITE_ORDER = "[c.center.qualified, *rest]"
+_RC_HELP = "relative compactness comparison (default %(default)s)"
 
 
 def test_ab_finds_a_copy_identical_and_locates_a_mutated_fold(tmp_path, capsys, monkeypatch):
@@ -61,19 +62,22 @@ def test_ab_finds_a_copy_identical_and_locates_a_mutated_fold(tmp_path, capsys, 
     the last bits of some pair weights, which no report holds, so only the
     ``graph`` case shows it. Writing each cluster's satellites in reverse
     touches only the cluster text of ``apicomp cluster``, so only the
-    ``cluster`` case shows it."""
+    ``cluster`` case shows it. Editing the help of the shared
+    ``--rc-comparison`` option moves only ``apicomp cluster --help``, not
+    its usage error."""
     # deep-1 at --edge-threshold 0.2 is the grid case whose report moves
     # when an app's distance sum is divided by its trees that hold the pair.
     monkeypatch.setattr(ab, "CORPORA", ("deep-1",))
     monkeypatch.setattr(ab, "FLAGS", {"threshold-0.2": ab.FLAGS["threshold-0.2"]})
     monkeypatch.setattr(ab, "GRAPH_FLAGS", ("threshold-0.2",))
     monkeypatch.setattr(ab, "HASH_SEEDS", ("0",))
+    monkeypatch.setattr(ab, "COMMANDS", ("cluster",))
     base = tmp_path / "base"
     shutil.copytree(ROOT / "src", base / "src",
                     ignore=shutil.ignore_patterns("__pycache__"))
     work = ["--work", str(tmp_path / "work")]
     assert ab.main([str(base), *work]) == 0
-    assert capsys.readouterr().out == f"ab: 3 of 3 cases identical, base {base}\n"
+    assert capsys.readouterr().out == f"ab: 5 of 5 cases identical, base {base}\n"
 
     metrics = base / "src" / "apicomp" / "metrics.py"
     source = metrics.read_text(encoding="utf-8")
@@ -85,14 +89,14 @@ def test_ab_finds_a_copy_identical_and_locates_a_mutated_fold(tmp_path, capsys, 
     assert report.startswith("DIFF run deep-1 threshold-0.2 PYTHONHASHSEED=0: report.json "
                              "$.component_stats.avg_component_classes: base ")
     assert graph.startswith("DIFF graph deep-1 threshold-0.2 PYTHONHASHSEED=0: graph.tsv line ")
-    assert summary == f"ab: 1 of 3 cases identical, base {base}"
+    assert summary == f"ab: 3 of 5 cases identical, base {base}"
 
     metrics.write_text(source.replace(_APP_ORDER, "for trees in reversed(corpus.trees.values()):"),
                        encoding="utf-8")
     assert ab.main([str(base), *work]) == 1
     graph, summary = capsys.readouterr().out.splitlines()
     assert graph.startswith("DIFF graph deep-1 threshold-0.2 PYTHONHASHSEED=0: graph.tsv line ")
-    assert summary == f"ab: 2 of 3 cases identical, base {base}"
+    assert summary == f"ab: 4 of 5 cases identical, base {base}"
 
     metrics.write_text(source, encoding="utf-8")
     clusterer = base / "src" / "apicomp" / "clusterer.py"
@@ -104,7 +108,20 @@ def test_ab_finds_a_copy_identical_and_locates_a_mutated_fold(tmp_path, capsys, 
     clusters, summary = capsys.readouterr().out.splitlines()
     assert clusters.startswith("DIFF cluster deep-1 threshold-0.2 PYTHONHASHSEED=0: "
                                "clusters.txt line 1: ")
-    assert summary == f"ab: 2 of 3 cases identical, base {base}"
+    assert summary == f"ab: 4 of 5 cases identical, base {base}"
+
+    clusterer.write_text(text, encoding="utf-8")
+    cli = base / "src" / "apicomp" / "cli.py"
+    front = cli.read_text(encoding="utf-8")
+    assert front.count(_RC_HELP) == 1
+    cli.write_text(front.replace(_RC_HELP, "relative compactness rule (default %(default)s)"),
+                   encoding="utf-8")
+    assert ab.main([str(base), *work]) == 1
+    help_screen, summary = capsys.readouterr().out.splitlines()
+    assert help_screen == ("DIFF help cluster PYTHONHASHSEED=0: stdout line 8: base "
+                           "'relative compactness rule (default prose)' | "
+                           "work 'relative compactness comparison (default prose)'")
+    assert summary == f"ab: 4 of 5 cases identical, base {base}"
 
 
 @pytest.mark.parametrize("a, b, path", [

@@ -8,16 +8,22 @@ under the work directory (no network needed), or a directory that holds
 ``src/``. The other side is the working tree's ``src/``. Both sides run
 every case of a fixed grid, one after the other, from the same working
 directory and the same relative paths, so both reports echo the same corpus
-path. A case is identical when the exit codes and the files it writes are,
-byte for byte: ``report.json`` and ``report.txt`` for ``apicomp run``,
-``graph.tsv`` and ``graph.dot`` for ``apicomp graph``, ``clusters.txt`` for
-``apicomp cluster``. Only the graph holds the pair weights, written with
-``repr``, so only its cases show a float that drifts without moving a
-report. Each ``graph`` case is followed by a ``cluster`` case, in which
-both sides cluster the ``graph.tsv`` the base side has just written, so it
-sees the edge-list reader, the clusterer and the cluster text alone.
+path. A case is identical when the exit codes and the outputs it writes
+are, byte for byte (``OUTPUTS``): ``report.json`` and ``report.txt`` for
+``apicomp run``, ``graph.tsv`` and ``graph.dot`` for ``apicomp graph``,
+``clusters.txt`` for ``apicomp cluster``, the CSV of ``apicomp metrics``,
+``evaluation.json`` and ``evaluation.txt`` for ``apicomp evaluate``, stdout
+for ``--help`` and stderr for a usage error. Only the graph holds the pair
+weights, written with ``repr``, so only its cases show a float that drifts
+without moving a report. Each ``graph`` case is followed by a ``cluster``
+case, in which both sides cluster the ``graph.tsv`` the base side has just
+written, so it sees the edge-list reader, the clusterer and the cluster
+text alone; each ``run`` case on ``M`` is followed, in the same way, by an
+``evaluate`` case on the base side's ``report.json``.
 
-The grid is every combination of:
+The grid is, first, the front end: ``--help``, and a usage error (no
+arguments), for the top level and each subcommand (``COMMANDS``), under
+``PYTHONHASHSEED`` 0. Then every combination of:
 
 * corpora: ``M`` (10 planted components, 20 apps of 20 trees; ROADMAP's
   medium corpus) and the benchmark's ``deep`` and ``sparse-j2`` workloads
@@ -27,11 +33,15 @@ The grid is every combination of:
 * commands and flags: ``run`` with the default, ``--weight-formula
   literal``, ``--rc-comparison caption`` and ``--edge-threshold 0.2``;
   ``graph`` with the same less ``--rc-comparison``, which it does not take,
-  each followed by ``cluster`` with the default flags;
+  each followed by ``cluster`` with the default flags; on ``M`` only, which
+  alone has planted components, ``evaluate`` after each ``run``, against
+  the planted pairs (``M/labels.txt``: every pair of methods planted in one
+  component), and ``metrics`` with the default and ``--weight-formula
+  literal``, on ``M``'s ``ground_truth.txt`` as the method sets;
 * ``PYTHONHASHSEED`` 0 and 1.
 
-That is 100 cases. The corpora are written with the working tree's
-generator. For each differing case, one line names the case and the first
+That is 16 front-end and 112 analysis cases. The corpora are written with
+the working tree's generator. For each differing case, one line names the case and the first
 differing JSON path, or text line; the last line counts the identical
 cases. Exits 1 if any case differs, else 0. The work directory (default
 ``.bench_work/ab``) is rewritten on every run.
@@ -57,6 +67,7 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import io
+import itertools
 import json
 import os
 import shutil
@@ -76,9 +87,15 @@ FLAGS = {"default": [], "literal": ["--weight-formula", "literal"],
          "caption": ["--rc-comparison", "caption"],
          "threshold-0.2": ["--edge-threshold", "0.2"]}
 GRAPH_FLAGS = ("default", "literal", "threshold-0.2")  # the FLAGS graph accepts
+METRICS_FLAGS = ("default", "literal")  # the FLAGS that move a set's scores
 HASH_SEEDS = ("0", "1")
+COMMANDS = ("", "generate", "prune", "metrics", "graph", "cluster", "run", "evaluate")
+PLANTED = ("metrics", "evaluate")  # they read planted components, which only M has
 OUTPUTS = {"run": ("report.json", "report.txt"), "graph": ("graph.tsv", "graph.dot"),
-           "cluster": ("clusters.txt",)}
+           "cluster": ("clusters.txt",), "metrics": ("metrics.csv",),
+           "evaluate": ("evaluation.json", "evaluation.txt"),
+           "help": ("stdout",), "usage": ("stderr",)}
+FEEDS = {"graph": "graph.tsv", "run": "report.json"}  # read by the next case
 TIME_CORPORA = ("deep-1", "sparse-j2-1")
 ROUNDS = 20
 
@@ -121,7 +138,11 @@ def build_corpora(names: tuple[str, ...], work: Path) -> None:
 
     for name in names:
         if name == "M":
-            write_generated(PlantSpec(**M_SPEC), work / name / "corpus")
+            _, truth = write_generated(PlantSpec(**M_SPEC), work / name / "corpus")
+            (work / name / "labels.txt").write_text(
+                "".join(f"{a.qualified}\t{b.qualified}\n" for component in truth
+                        for a, b in itertools.combinations(sorted(component), 2)),
+                encoding="utf-8")
             continue
         workload, seed = name.rsplit("-", 1)
         failures: list[str] = []
@@ -131,12 +152,37 @@ def build_corpora(names: tuple[str, ...], work: Path) -> None:
 
 
 def case_args(command: str, corpus: str, flags: str) -> list[str]:
-    """The ``apicomp`` arguments of one case; a ``cluster`` case reads
-    ``graph.tsv`` in the work directory."""
+    """The ``apicomp`` arguments of one analysis case; a ``cluster`` case
+    reads ``graph.tsv`` in the work directory, an ``evaluate`` case
+    ``report.json`` there (see ``FEEDS``)."""
     if command == "cluster":
         return [command, "--graph", "graph.tsv", "--out", "out/clusters.txt"]
-    return [command, "--corpus", f"{corpus}/corpus", "--classifier",
-            f"{corpus}/corpus/classifier.txt", "--out", "out", *FLAGS[flags]]
+    if command == "evaluate":
+        return [command, "--report", "report.json", "--labels", f"{corpus}/labels.txt",
+                "--out", "out"]
+    corpus_args = ["--corpus", f"{corpus}/corpus", "--classifier",
+                   f"{corpus}/corpus/classifier.txt"]
+    if command == "metrics":
+        return [command, *corpus_args, "--sets", f"{corpus}/corpus/ground_truth.txt",
+                "--out", "out/metrics.csv", *FLAGS[flags]]
+    return [command, *corpus_args, "--out", "out", *FLAGS[flags]]
+
+
+def grid() -> list[tuple[str, str, list[str], str]]:
+    """Every case in order (see the module docstring), as ``(kind, label,
+    apicomp arguments, PYTHONHASHSEED)``; the kind names its ``OUTPUTS``."""
+    cases = []
+    for command in COMMANDS:
+        head = [command] if command else []
+        cases += [(kind, f"{kind} {command or 'apicomp'}", [*head, *extra], "0")
+                  for kind, extra in (("help", ["--help"]), ("usage", []))]
+    chains = ((("run", "evaluate"), FLAGS), (("metrics",), METRICS_FLAGS),
+              (("graph", "cluster"), GRAPH_FLAGS))
+    return cases + [(command, f"{command} {corpus} {flags}",
+                     case_args(command, corpus, flags), seed)
+                    for corpus in CORPORA for commands, flag_sets in chains
+                    for flags in flag_sets for seed in HASH_SEEDS for command in commands
+                    if corpus == "M" or command not in PLANTED]
 
 
 def python(src: Path, work: Path, argv: list[str],
@@ -150,17 +196,21 @@ def python(src: Path, work: Path, argv: list[str],
     return proc, perf_counter() - start
 
 
-def run_case(src: Path, work: Path, args: list[str], hash_seed: str) -> tuple[int, str, dict]:
+def run_case(src: Path, work: Path, args: list[str], outputs: tuple[str, ...],
+             hash_seed: str) -> tuple[int, str, dict]:
     """``(exit code, stderr, files)`` of ``apicomp *args`` from ``src``, run
-    in ``work`` with ``out`` emptied: ``files`` maps each ``OUTPUTS`` file of
-    the command to its bytes, or to ``None`` when it was not written."""
+    in ``work`` with ``out`` emptied: ``files`` maps each of ``outputs`` to
+    its bytes, or to ``None`` when it was not written; ``stdout`` and
+    ``stderr`` name the streams, any other name a file in ``out``."""
     out = work / "out"
     shutil.rmtree(out, ignore_errors=True)
     out.mkdir()
     proc, _ = python(src, work, ["-m", "apicomp.cli", *args], hash_seed)
+    streams = {"stdout": proc.stdout, "stderr": proc.stderr}
     return proc.returncode, proc.stderr, {
-        name: (out / name).read_bytes() if (out / name).is_file() else None
-        for name in OUTPUTS[args[0]]}
+        name: streams[name].encode() if name in streams
+        else (out / name).read_bytes() if (out / name).is_file() else None
+        for name in outputs}
 
 
 _ABSENT = object()  # a key or item that one side lacks
@@ -269,20 +319,17 @@ def main(argv: list[str] | None = None) -> int:
                                         encoding="utf-8")
         return 0
     build_corpora(CORPORA, work)
-    cases = [(command, corpus, flags, seed) for corpus in CORPORA
-             for commands, flag_sets in ((("run",), FLAGS), (("graph", "cluster"), GRAPH_FLAGS))
-             for flags in flag_sets for seed in HASH_SEEDS for command in commands]
+    cases = grid()
     same = 0
-    for command, corpus, flags, seed in cases:
-        results = [run_case(src, work, case_args(command, corpus, flags), seed)
-                   for src in sides]
-        if command == "graph":  # the input of the next case, a cluster case
-            (work / "graph.tsv").write_bytes(results[0][2]["graph.tsv"] or b"")
+    for kind, label, case, seed in cases:
+        results = [run_case(src, work, case, OUTPUTS[kind], seed) for src in sides]
+        if kind in FEEDS:  # the input of the next case
+            (work / FEEDS[kind]).write_bytes(results[0][2][FEEDS[kind]] or b"")
         difference = describe(*results)
         if difference is None:
             same += 1
         else:
-            print(f"DIFF {command} {corpus} {flags} PYTHONHASHSEED={seed}: {difference}")
+            print(f"DIFF {label} PYTHONHASHSEED={seed}: {difference}")
     print(f"ab: {same} of {len(cases)} cases identical, base {args.base}")
     return 0 if same == len(cases) else 1
 
